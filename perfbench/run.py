@@ -25,7 +25,9 @@ import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
-RUN_TIMEOUT_S = 170
+# A run may take its set-ups plus twice its measured time before it is
+# killed.
+SETUP_ALLOWANCE_S = 60
 
 
 def fail(message):
@@ -91,14 +93,15 @@ def main():
            "--seconds", str(args.seconds), "--trace", str(args.trace),
            "--serve", serve, "--work", work]
     # Its own process group, so the daemons go down with it on a timeout.
+    timeout_s = SETUP_ALLOWANCE_S + 2 * args.seconds
     proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, text=True,
                             start_new_session=True)
     try:
-        stdout, _ = proc.communicate(timeout=RUN_TIMEOUT_S)
+        stdout, _ = proc.communicate(timeout=timeout_s)
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)
         proc.wait()
-        fail(f"run exceeded {RUN_TIMEOUT_S} s")
+        fail(f"run exceeded {timeout_s} s")
     finally:
         # Whatever the load generator left behind goes too; wait (up to 5 s,
         # as an orphan is reaped by init) until the whole group has ended.

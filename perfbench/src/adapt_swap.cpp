@@ -10,6 +10,7 @@
 #include <sstream>
 #include <thread>
 
+#include "data/perturb.hpp"
 #include "io/serialize.hpp"
 #include "phases.hpp"
 #include "serve/monitor_service.hpp"
@@ -32,12 +33,11 @@ Tensor novel_input(ranm::Rng& rng) {
   return Tensor::random_uniform({16}, rng, -3.0F, 3.0F);
 }
 
-/// A training input moved by small noise: mostly inside what the robust
-/// monitor already stores.
+/// A training input moved within the monitor's Δ box: by Lemma 1 the
+/// robust monitor already stores its pattern, so it is never novel.
 Tensor familiar_input(const MlpModel& model, ranm::Rng& rng) {
-  Tensor t = model.train[rng.next_u64() % model.train.size()];
-  for (float& x : t.span()) x += float(rng.normal(0.0, 0.03));
-  return t;
+  return ranm::perturb_linf(model.train[rng.next_u64() % model.train.size()],
+                            MlpModel::kDelta, rng);
 }
 
 Clock::duration secs(double s) {
@@ -51,7 +51,7 @@ struct QueryResult {
   std::vector<std::size_t> window;  // of each latency sample
 };
 
-/// Length of one query window.
+/// Length of one query window; a shorter phase is one window.
 constexpr double kQueryWindowS = 1.0;
 
 }  // namespace
@@ -66,9 +66,9 @@ AdaptTraffic make_adapt_traffic(const RunConfig& config,
                               : novel_input(rng));
     t.must_pass.push_back(train);
   }
-  // Nominal: the stream stays near the training data, so swaps fold few
-  // new patterns. Drift: every observed input is novel, so every swap
-  // grows the stored set.
+  // Nominal: the stream stays within Δ of the training data, so swaps
+  // fold no new pattern. Drift: the stream leaves the training range, so
+  // swaps grow the stored set.
   for (std::size_t b = 0; b < kObserveBatches; ++b) {
     std::vector<Tensor> batch;
     for (std::size_t i = 0; i < kObserveBatch; ++i) {
@@ -116,7 +116,7 @@ void run_adapt(const RunConfig& config, Deployment& dep,
   }
 
   std::vector<QueryResult> results(kQueryConnections);
-  const std::vector<ThreadCpu> cpu_before = daemon.thread_cpu();
+  const DaemonCpu cpu_before = daemon.cpu();
   const Clock::time_point start = Clock::now();
   const Clock::time_point end = start + secs(seconds);
   const std::size_t windows =
@@ -177,9 +177,16 @@ void run_adapt(const RunConfig& config, Deployment& dep,
                                      reply, kQueryTimeoutS);
       }
       bool ok = outcome == Outcome::kOk &&
-                reply.type == serve::FrameType::kObserveReply &&
-                serve::decode_observe_reply(reply.payload).accepted ==
-                    kObserveBatch;
+                reply.type == serve::FrameType::kObserveReply;
+      if (ok) {
+        const serve::ObserveReply observed =
+            serve::decode_observe_reply(reply.payload);
+        // Lemma 1: no input within Δ of a training input is novel.
+        ok = observed.accepted == kObserveBatch &&
+             (config.mix == Mix::kDrift || observed.novel == 0);
+        pass.observed += observed.accepted;
+        pass.novel += observed.novel;
+      }
       pass.control.record(outcome, ok);
       if (outcome == Outcome::kOk) pass.observe_ms.push_back(ms_between(t, Clock::now()));
       if (!ok) break;
@@ -214,7 +221,7 @@ void run_adapt(const RunConfig& config, Deployment& dep,
   threads.join();
   const double wall = seconds_between(start, Clock::now());
   pass.busy.merge(
-      busy_between(daemon.pid(), cpu_before, daemon.thread_cpu(), wall));
+      busy_between(daemon.pid(), cpu_before, daemon.cpu(), wall));
 
   const std::size_t first = pass.window_latency_ms.size();
   pass.window_latency_ms.resize(first + windows);
@@ -251,6 +258,9 @@ void report_adapt(const AdaptPass& pass, Report& report) {
                        "ms");
   report.info_quantile("adapt_swap.observe_p50_ms", pass.observe_ms, 0.50,
                        "ms");
+  const double observed = double(std::max<std::uint64_t>(1, pass.observed));
+  report.info("adapt_swap.observe_novel_frac", double(pass.novel) / observed,
+              "ratio", pass.observed);
   report.info("adapt_swap.daemon_cpu_us_per_query",
               pass.busy.cpu_s * 1e6 / double(pass.latency_ms.size()), "us",
               pass.latency_ms.size());

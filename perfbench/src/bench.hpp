@@ -276,6 +276,13 @@ struct ThreadCpu {
   double cpu_s = 0.0;  // utime + stime
 };
 
+/// CPU time of a process: the whole process from /proc/<pid>/stat, which
+/// includes threads that have exited, and each live thread.
+struct DaemonCpu {
+  double process_s = 0.0;
+  std::vector<ThreadCpu> threads;
+};
+
 /// A `ranm_serve` child process serving one Unix socket. The destructor
 /// stops it (shutdown frame, then signals) and reaps it.
 class Daemon {
@@ -299,7 +306,7 @@ class Daemon {
 
   /// Peak resident set (VmHWM) in bytes.
   [[nodiscard]] double peak_rss_bytes() const;
-  [[nodiscard]] std::vector<ThreadCpu> thread_cpu() const;
+  [[nodiscard]] DaemonCpu cpu() const;
 
  private:
   pid_t pid_ = -1;
@@ -308,21 +315,19 @@ class Daemon {
 
 /// Busy fractions of the daemon's threads between two /proc readings:
 /// the event loop is the main thread; workers are the other threads seen
-/// in both readings.
+/// in both readings (a swap's short-lived rebuild thread is not one).
 struct DaemonBusy {
   double loop = 0.0;
   double worker_mean = 0.0;
   std::size_t workers = 0;
-  double cpu_s = 0.0;  // CPU seconds of all these threads together
+  double cpu_s = 0.0;  // CPU seconds of the whole daemon, swaps included
   double wall_s = 0.0;
 
   /// Folds in a later reading, weighting the fractions by wall time.
   void merge(const DaemonBusy& other);
 };
-[[nodiscard]] DaemonBusy busy_between(pid_t pid,
-                                      const std::vector<ThreadCpu>& before,
-                                      const std::vector<ThreadCpu>& after,
-                                      double wall_s);
+[[nodiscard]] DaemonBusy busy_between(pid_t pid, const DaemonCpu& before,
+                                      const DaemonCpu& after, double wall_s);
 
 // ---- phase threads --------------------------------------------------------
 

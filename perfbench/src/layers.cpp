@@ -77,6 +77,33 @@ std::vector<std::uint8_t> to_bytes(const std::unique_ptr<bool[]>& flags,
   return out;
 }
 
+/// Runs `rounds` pairs of one untraced and one traced pass, back to back
+/// (in alternating order), and returns each pair's traced / untraced wall
+/// time - 1: the cost of the spans, measured where it is paid.
+template <typename Pass>
+std::vector<double> interleave_rounds(std::size_t rounds, const Pass& pass,
+                                      SpanLog* log) {
+  const auto timed = [&](SpanLog* span_log) {
+    const Clock::time_point t = Clock::now();
+    pass(span_log);
+    return seconds_between(t, Clock::now());
+  };
+  std::vector<double> overhead;
+  for (std::size_t round = 0; round < rounds; ++round) {
+    double untraced_s = 0.0;
+    double traced_s = 0.0;
+    if (round % 2 == 0) {
+      untraced_s = timed(nullptr);
+      traced_s = timed(log);
+    } else {
+      traced_s = timed(log);
+      untraced_s = timed(nullptr);
+    }
+    overhead.push_back(traced_s / untraced_s - 1.0);
+  }
+  return overhead;
+}
+
 }  // namespace
 
 LayerTimes trace_layers(Deployment& dep, const FramesTraffic& frames,
@@ -96,7 +123,8 @@ LayerTimes trace_layers(Deployment& dep, const FramesTraffic& frames,
   std::unique_ptr<bool[]> compiled_out(new bool[kFrameBatch]);
   std::unique_ptr<bool[]> source_out(new bool[kFrameBatch]);
   std::uint64_t request_id = 0;
-  for (std::size_t round = 0; round < kFrameRounds; ++round) {
+  // One round of request replays; `log` is null in the untraced rounds.
+  const auto replay_frames = [&](SpanLog* log) {
     for (std::size_t r = 0; r < frames.requests(); ++r) {
       serve::encode_query_into(payload, frames.request(r));
       ScopedSpan request(log, "frames.replay", ++request_id);
@@ -138,7 +166,9 @@ LayerTimes trace_layers(Deployment& dep, const FramesTraffic& frames,
       ++counts.attempted;
       ++(same ? counts.succeeded : counts.mismatches);
     }
-  }
+  };
+  const std::vector<double> frames_overhead =
+      interleave_rounds(kFrameRounds, replay_frames, log);
   {
     serve::MonitorService service(copy_network(dm.net_bytes),
                                   load_monitor(dm.compiled_bytes), k);
@@ -213,7 +243,7 @@ LayerTimes trace_layers(Deployment& dep, const FramesTraffic& frames,
   ranm::Network mlp = copy_network(mm.net_bytes);
   const std::unique_ptr<ranm::Monitor> mlp_monitor = load_monitor(mm.monitor_bytes);
   bool flag[1];
-  for (std::size_t round = 0; round < kAdaptRounds; ++round) {
+  const auto replay_queries = [&](SpanLog* log) {
     for (std::size_t q = 0; q < adapt.queries.size(); ++q) {
       serve::encode_query_into(payload, {&adapt.queries[q], 1});
       ScopedSpan request(log, "adapt_swap.replay", ++request_id);
@@ -239,7 +269,9 @@ LayerTimes trace_layers(Deployment& dep, const FramesTraffic& frames,
       ++counts.attempted;
       ++(!adapt.must_pass[q] || !flag[0] ? counts.succeeded : counts.mismatches);
     }
-  }
+  };
+  const std::vector<double> adapt_overhead =
+      interleave_rounds(kAdaptRounds, replay_queries, log);
   {
     serve::MonitorService service(copy_network(mm.net_bytes),
                                   load_monitor(mm.monitor_bytes),
@@ -353,6 +385,10 @@ LayerTimes trace_layers(Deployment& dep, const FramesTraffic& frames,
   report.metric("adapt_swap.replay_self_us",
                 t.self_per_call("adapt_swap.replay"), "us",
                 std::size_t(adapt_n));
+  report.metric("frames.trace_overhead_frac", median(frames_overhead),
+                "ratio", frames_overhead.size());
+  report.metric("adapt_swap.trace_overhead_frac", median(adapt_overhead),
+                "ratio", adapt_overhead.size());
   report.metric("adapt_swap.io.load_monitor_ms",
                 t.per("adapt_swap.io.load_any_monitor", 1.0) / 1e3, "ms", 1);
   report.metric("bdd.adapt_nodes", double(mm.monitor->bdd_node_count()),

@@ -5,11 +5,12 @@
 //
 // One process drives every phase of a run against real `ranm_serve`
 // children (see phases.hpp): set-up (three times, median reported), then
-// frames, robust_build and adapt_swap in turn, three rounds of each. With
-// --trace 0 it reports the end-to-end metrics; with --trace 1 it repeats
-// each served phase with and without client spans, replays every layer in
-// process under spans, and reports the per-layer metrics. The last stdout line is the JSON result;
-// the exit status is non-zero when any check or operation failed.
+// frames, robust_build and adapt_swap in turn, twelve rounds of each. With
+// --trace 0 it reports the end-to-end metrics; with --trace 1 it runs each
+// served phase once with client spans, replays every layer in process
+// under spans, and reports the per-layer metrics. The last stdout line is
+// the JSON result; the exit status is non-zero when any check or
+// operation failed.
 #include <unistd.h>
 
 #include <algorithm>
@@ -26,8 +27,11 @@ namespace {
 
 /// Set-ups per untraced run; setup_s is their median.
 constexpr std::size_t kSetupRepeats = 3;
-/// Turns each phase takes in an untraced run.
-constexpr std::size_t kRounds = 3;
+/// Turns each phase takes in an untraced run. More turns sample a shared
+/// machine at more points of the run: against six, twelve cut the
+/// run-to-run spread of most figures by a third to a half in six
+/// interleaved pairs of runs on a 4-vCPU guest.
+constexpr std::size_t kRounds = 12;
 
 [[noreturn]] void usage(const char* what) {
   std::fprintf(stderr,
@@ -88,7 +92,6 @@ int run(const Args& args) {
   }
   Report report;
   Tracer tracer(config.trace);
-  Tracer untraced(false);
 
   // ---- set-up, repeated; the last one serves the run.
   const std::size_t repeats = config.trace ? 1 : kSetupRepeats;
@@ -136,10 +139,10 @@ int run(const Args& args) {
     const double share = 1.0 / double(kRounds);
     for (std::size_t r = 0; r < kRounds; ++r) {
       run_frames(config, *dep, frames, budget.frames_open * share,
-                 budget.frames_saturation * share, untraced, fp);
+                 budget.frames_saturation * share, tracer, fp);
       run_robust_build(*dep, (kMinBuildIterations + kRounds - 1) / kRounds,
                        budget.robust_build * share, bp);
-      run_adapt(config, *dep, adapt, budget.adapt_swap * share, untraced, ap);
+      run_adapt(config, *dep, adapt, budget.adapt_swap * share, tracer, ap);
     }
     report_frames(fp, report);
     check_robust_build(config, *dep, bp, report);
@@ -148,84 +151,57 @@ int run(const Args& args) {
     return report.finish();
   }
 
-  // ---- traced run: each served phase untraced, then traced, for the
-  // tracing overhead; daemon-side figures come from the untraced pass.
-  FramesPass f0;
-  FramesPass f1;
-  AdaptPass a0;
-  AdaptPass a1;
-  run_frames(config, *dep, frames, budget.frames_open / 2,
-             budget.frames_saturation / 2, untraced, f0);
-  run_frames(config, *dep, frames, budget.frames_open / 2,
-             budget.frames_saturation / 2, tracer, f1);
-  run_adapt(config, *dep, adapt, budget.adapt_swap / 2, untraced, a0);
-  run_adapt(config, *dep, adapt, budget.adapt_swap / 2, tracer, a1);
+  // ---- traced run: one pass of each served phase with client spans and
+  // kStats polling, then the in-process replays.
+  FramesPass fp;
+  AdaptPass ap;
+  run_frames(config, *dep, frames, budget.frames_open,
+             budget.frames_saturation, tracer, fp);
+  run_adapt(config, *dep, adapt, budget.adapt_swap, tracer, ap);
   check_adapt_final(*dep, adapt, report);
-  for (const FramesPass* f : {&f0, &f1}) {
-    report.phase(f->open);
-    report.phase(f->saturation);
-  }
-  for (const AdaptPass* a : {&a0, &a1}) {
-    report.phase(a->queries);
-    report.phase(a->control);
-  }
+  report.phase(fp.open);
+  report.phase(fp.saturation);
+  report.phase(ap.queries);
+  report.phase(ap.control);
 
   const LayerTimes times = trace_layers(*dep, frames, adapt, report, tracer);
 
-  const Quantile frames_rtt = quantile(f0.rtt_us, 0.5);
+  const Quantile frames_rtt = quantile(fp.rtt_us, 0.5);
   report.metric("frames.serve.rtt_overhead_us",
                 frames_rtt.value - times.frames_query_us, "us",
                 frames_rtt.samples);
-  report.metric("frames.serve.loop_busy_frac", f0.busy.loop, "ratio", 1);
-  report.metric("frames.serve.worker_busy_frac", f0.busy.worker_mean, "ratio",
-                f0.busy.workers);
-  report.metric("frames.serve.queue_depth_mean", f0.polls.queue_depth_mean,
-                "requests", f0.polls.polls);
-  report.metric("frames.serve.overloaded", double(f1.polls.last.overloaded),
-                "count", f1.polls.polls);
-  // Client spans sit on the open-loop frames: overhead on their median.
-  report.metric("frames.trace_overhead_frac",
-                quantile(f1.latency_ms, 0.5).value /
-                        quantile(f0.latency_ms, 0.5).value -
-                    1.0,
-                "ratio", 2);
+  report.metric("frames.serve.loop_busy_frac", fp.busy.loop, "ratio", 1);
+  report.metric("frames.serve.worker_busy_frac", fp.busy.worker_mean, "ratio",
+                fp.busy.workers);
+  report.metric("frames.serve.queue_depth_mean", fp.polls.queue_depth_mean,
+                "requests", fp.polls.polls);
+  report.metric("frames.serve.overloaded", double(fp.polls.last.overloaded),
+                "count", fp.polls.polls);
 
-  std::vector<double> a0_us = a0.latency_ms;
-  for (double& v : a0_us) v *= 1e3;
-  const Quantile adapt_rtt = quantile(a0_us, 0.5);
+  std::vector<double> adapt_us = ap.latency_ms;
+  for (double& v : adapt_us) v *= 1e3;
+  const Quantile adapt_rtt = quantile(adapt_us, 0.5);
   report.metric("adapt_swap.serve.rtt_overhead_us",
                 adapt_rtt.value - times.adapt_query_us, "us",
                 adapt_rtt.samples);
-  report.metric("adapt_swap.serve.loop_busy_frac", a0.busy.loop, "ratio", 1);
-  report.metric("adapt_swap.serve.worker_busy_frac", a0.busy.worker_mean,
-                "ratio", a0.busy.workers);
-  report.metric("adapt_swap.serve.queue_depth_mean", a0.polls.queue_depth_mean,
-                "requests", a0.polls.polls);
+  report.metric("adapt_swap.serve.loop_busy_frac", ap.busy.loop, "ratio", 1);
+  report.metric("adapt_swap.serve.worker_busy_frac", ap.busy.worker_mean,
+                "ratio", ap.busy.workers);
+  report.metric("adapt_swap.serve.queue_depth_mean", ap.polls.queue_depth_mean,
+                "requests", ap.polls.polls);
   report.metric("adapt_swap.serve.overloaded",
-                double(a1.polls.last.overloaded), "count", a1.polls.polls);
-  const double a0_p50 = quantile(a0.latency_ms, 0.5).value;
-  const double a1_p50 = quantile(a1.latency_ms, 0.5).value;
-  report.metric("adapt_swap.trace_overhead_frac", a1_p50 / a0_p50 - 1.0,
-                "ratio", 2);
+                double(ap.polls.last.overloaded), "count", ap.polls.polls);
   report.metric("trace.spans", double(tracer.span_count()), "count", 1);
   // Per-worker lifetime counters from the last kStats poll: an idle
   // replica shows here.
   for (const auto& [phase, polls] :
-       {std::pair{"frames", &f1.polls}, std::pair{"adapt_swap", &a1.polls}}) {
+       {std::pair{"frames", &fp.polls}, std::pair{"adapt_swap", &ap.polls}}) {
     for (std::size_t w = 0; w < polls->last.workers.size(); ++w) {
       report.info(format("%s.serve.worker%zu_queries", phase, w),
                   double(polls->last.workers[w].queries), "count",
                   polls->polls);
     }
   }
-  report.info("frames.untraced_latency_p50_ms",
-              quantile(f0.latency_ms, 0.5).value, "ms", f0.latency_ms.size());
-  report.info("frames.traced_latency_p50_ms",
-              quantile(f1.latency_ms, 0.5).value, "ms", f1.latency_ms.size());
-  report.info("adapt_swap.untraced_latency_p50_ms", a0_p50, "ms",
-              a0.latency_ms.size());
-  report.info("adapt_swap.traced_latency_p50_ms", a1_p50, "ms",
-              a1.latency_ms.size());
   tracer.write_json("trace.json");
   report.note("spans written to trace.json in the run directory");
   return report.finish();

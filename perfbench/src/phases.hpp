@@ -30,8 +30,14 @@ constexpr std::size_t kFrameBatch = 8;
 /// At 60% queueing amplified the machine's noise into 2-5x run-to-run
 /// swings of the frame latency.
 constexpr double kFrameRatePerS = 300.0;
-/// A frame answered later than this after its due time is missed
-/// (a sixth of a 30 fps camera period).
+/// A frame answered later than this after its due time is missed (a
+/// sixth of a 30 fps camera period, about four times the parent commit's
+/// median frame latency of 1.25-1.38 ms at kFrameRatePerS on 4 vCPUs). A
+/// serving path about 2.5 times slower loses about a quarter of the
+/// on-time frames, the gate's bound. A deadline of twice the median would
+/// catch a 2x slowdown, but a shared 4-vCPU guest's own speed swings up
+/// to 2x between runs, and there at 3 ms the on-time share spread 0.27 of
+/// its median over ten runs.
 constexpr double kFrameDeadlineMs = 5.0;
 
 /// The run's frames: seeded images in batches of kFrameBatch, with the
@@ -94,8 +100,8 @@ struct BuildPass {
   std::vector<std::string> first_bytes;  // artifacts of the first iteration
   std::shared_ptr<BuildArtifacts> artifacts;
 };
-/// At least `min_iterations` pipeline iterations, and more until
-/// `seconds` have passed, appended to `pass`.
+/// At least `min_iterations` pipeline iterations, and more while they fit
+/// in `seconds`, appended to `pass`.
 void run_robust_build(Deployment& dep, std::size_t min_iterations,
                       double seconds, BuildPass& pass);
 /// The Lemma 1 spot check and the save/load round trip on the last
@@ -134,6 +140,8 @@ struct AdaptPass {
   std::vector<std::vector<double>> window_latency_ms;
   std::vector<double> window_samples_per_s;
   std::uint64_t generation = 0;  // the last swap's
+  std::uint64_t observed = 0;    // inputs staged by observe
+  std::uint64_t novel = 0;       // of them, warned by the serving monitor
   double rss_bytes = 0.0;
   DaemonBusy busy;
   StatsPolls polls;  // traced runs only

@@ -101,9 +101,14 @@ void run_robust_build(Deployment& dep, std::size_t min_iterations,
   if (!pass.artifacts) pass.artifacts = std::make_shared<BuildArtifacts>();
   BuildArtifacts& art = *pass.artifacts;
   const Clock::time_point start = Clock::now();
-  for (std::size_t done = 0;
-       done < min_iterations || seconds_between(start, Clock::now()) < seconds;
-       ++done) {
+  // After the minimum, stop when one more iteration of the mean length
+  // would overrun `seconds`.
+  const auto more = [&](std::size_t done) {
+    const double elapsed = seconds_between(start, Clock::now());
+    return done < min_iterations ||
+           elapsed + elapsed / double(done) <= seconds;
+  };
+  for (std::size_t done = 0; more(done); ++done) {
     ++pass.builds.attempted;
     double cpu = 0.0;
     pass.build_s.push_back(build_once(dep.digits, art, cpu));

@@ -28,15 +28,17 @@ namespace perfbench {
 namespace serve = ranm::serve;
 
 PhaseBudget phase_budget(double seconds) {
-  // Shares chosen so that, at the default 45 s, every percentile the
-  // report names has its ten samples beyond it: eight 2 s windows of 600
-  // frames, nine 0.5 s saturation windows, ~21 robust builds, ten 1 s
-  // query windows and ~50 swaps.
+  // Shares chosen so that, at the default 45 s in twelve rounds, every
+  // percentile the report names has its ten samples beyond it (one
+  // open-loop window of about 380 frames, one saturation window and one
+  // query window of about 0.75 s per round, at least 21 robust builds and
+  // about 45 swaps), and the robust builds, about 0.7 s each, fit their
+  // share.
   PhaseBudget b;
-  b.frames_open = 0.36 * seconds;
-  b.frames_saturation = 0.10 * seconds;
-  b.robust_build = 0.30 * seconds;
-  b.adapt_swap = 0.24 * seconds;
+  b.frames_open = 0.34 * seconds;
+  b.frames_saturation = 0.08 * seconds;
+  b.robust_build = 0.38 * seconds;
+  b.adapt_swap = 0.20 * seconds;
   return b;
 }
 
@@ -494,31 +496,43 @@ double Daemon::peak_rss_bytes() const {
   return 0.0;
 }
 
-std::vector<ThreadCpu> Daemon::thread_cpu() const {
-  std::vector<ThreadCpu> out;
-  const double tick = double(::sysconf(_SC_CLK_TCK));
-  const std::string task_dir = "/proc/" + std::to_string(pid_) + "/task";
+namespace {
+
+/// utime + stime of a /proc stat file in seconds; negative when unreadable.
+double stat_cpu_s(const std::filesystem::path& path) {
+  std::ifstream in(path);
+  std::string stat;
+  std::getline(in, stat);
+  // Fields after the parenthesised command name; utime and stime are
+  // fields 14 and 15 of the whole line.
+  const std::size_t close = stat.rfind(')');
+  if (close == std::string::npos) return -1.0;
+  std::istringstream fields(stat.substr(close + 2));
+  std::string field;
+  unsigned long long utime = 0;
+  unsigned long long stime = 0;
+  for (int i = 3; i <= 15 && fields >> field; ++i) {
+    if (i == 14) utime = std::stoull(field);
+    if (i == 15) stime = std::stoull(field);
+  }
+  return double(utime + stime) / double(::sysconf(_SC_CLK_TCK));
+}
+
+}  // namespace
+
+DaemonCpu Daemon::cpu() const {
+  DaemonCpu out;
+  const std::filesystem::path proc = "/proc/" + std::to_string(pid_);
+  out.process_s = std::max(0.0, stat_cpu_s(proc / "stat"));
   std::error_code ec;
-  for (const auto& entry : std::filesystem::directory_iterator(task_dir, ec)) {
-    std::ifstream in(entry.path() / "stat");
-    std::string stat;
-    std::getline(in, stat);
-    // Fields after the parenthesised command name; utime and stime are
-    // fields 14 and 15 of the whole line.
-    const std::size_t close = stat.rfind(')');
-    if (close == std::string::npos) continue;
-    std::istringstream fields(stat.substr(close + 2));
-    std::string field;
-    unsigned long long utime = 0;
-    unsigned long long stime = 0;
-    for (int i = 3; i <= 15 && fields >> field; ++i) {
-      if (i == 14) utime = std::stoull(field);
-      if (i == 15) stime = std::stoull(field);
-    }
+  for (const auto& entry :
+       std::filesystem::directory_iterator(proc / "task", ec)) {
+    const double cpu_s = stat_cpu_s(entry.path() / "stat");
+    if (cpu_s < 0.0) continue;
     ThreadCpu t;
     t.tid = pid_t(std::stol(entry.path().filename().string()));
-    t.cpu_s = double(utime + stime) / tick;
-    out.push_back(t);
+    t.cpu_s = cpu_s;
+    out.threads.push_back(t);
   }
   return out;
 }
@@ -544,18 +558,19 @@ void StatsPolls::merge(const StatsPolls& other) {
   last = other.last;
 }
 
-DaemonBusy busy_between(pid_t pid, const std::vector<ThreadCpu>& before,
-                        const std::vector<ThreadCpu>& after, double wall_s) {
+DaemonBusy busy_between(pid_t pid, const DaemonCpu& before,
+                        const DaemonCpu& after, double wall_s) {
   DaemonBusy busy;
   busy.wall_s = wall_s;
+  busy.cpu_s = after.process_s - before.process_s;
   if (wall_s <= 0.0) return busy;
   double worker_sum = 0.0;
-  for (const ThreadCpu& a : after) {
-    const auto b = std::find_if(before.begin(), before.end(),
-                                [&](const ThreadCpu& t) { return t.tid == a.tid; });
-    if (b == before.end()) continue;
+  for (const ThreadCpu& a : after.threads) {
+    const auto b = std::find_if(
+        before.threads.begin(), before.threads.end(),
+        [&](const ThreadCpu& t) { return t.tid == a.tid; });
+    if (b == before.threads.end()) continue;
     const double frac = (a.cpu_s - b->cpu_s) / wall_s;
-    busy.cpu_s += a.cpu_s - b->cpu_s;
     if (a.tid == pid) {
       busy.loop = frac;
     } else {
