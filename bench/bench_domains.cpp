@@ -7,12 +7,11 @@
 // depth, at higher runtime cost. Star sets are not implemented (LP solver
 // out of scope — see DESIGN.md substitutions).
 //
-// Sweep 2 (backend_sweep): batched box propagation on every registered
-// BoundBackend across batch size. The reference backend runs the scalar
-// per-sample loops; the vectorized backend sweeps contiguous neuron-major
-// rows. Bounds are identical (cross-checked per run); only throughput
-// differs. The committed full run is the acceptance baseline for the
-// vectorized backend (>= 2x reference at batch 256).
+// Sweep 2 (backend_sweep): batched box propagation
+// (PerturbationEstimator::estimate_batch, which sweeps contiguous
+// neuron-major rows) against the scalar per-sample estimate() loop across
+// batch size. Every run checks that the batched bounds contain the scalar
+// bounds; only throughput differs.
 //
 // Prints tables and writes machine-readable JSON (BENCH_domains.json, or
 // the path given as argv[1]) so the perf trajectory is tracked per-PR.
@@ -23,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "absint/bound_backend.hpp"
 #include "bench_util.hpp"
 #include "core/perturbation_estimator.hpp"
 #include "nn/init.hpp"
@@ -43,19 +41,19 @@ struct DomainMeasurement {
   double zono_us_per_input = 0.0;
 };
 
-struct BackendMeasurement {
-  std::string backend;
+struct BatchMeasurement {
   std::size_t batch_size = 0;
   std::size_t hidden_layers = 0;
   double us_per_input = 0.0;
-  double speedup_vs_reference = 0.0;
+  double scalar_us_per_input = 0.0;
+  double speedup_vs_scalar = 0.0;
 };
 
 void write_json(const std::string& path, bool smoke,
                 const std::vector<DomainMeasurement>& domains,
-                const std::vector<BackendMeasurement>& backends) {
+                const std::vector<BatchMeasurement>& batches) {
   std::vector<std::string> rows;
-  rows.reserve(domains.size() + backends.size());
+  rows.reserve(domains.size() + batches.size());
   for (const DomainMeasurement& m : domains) {
     std::ostringstream row;
     row << "{\"mode\": \"domain_compare\", \"hidden_layers\": "
@@ -66,13 +64,13 @@ void write_json(const std::string& path, bool smoke,
         << ", \"zono_us_per_input\": " << m.zono_us_per_input << "}";
     rows.push_back(row.str());
   }
-  for (const BackendMeasurement& m : backends) {
+  for (const BatchMeasurement& m : batches) {
     std::ostringstream row;
-    row << "{\"mode\": \"backend_sweep\", \"backend\": \"" << m.backend
-        << "\", \"batch_size\": " << m.batch_size
+    row << "{\"mode\": \"backend_sweep\", \"batch_size\": " << m.batch_size
         << ", \"hidden_layers\": " << m.hidden_layers
         << ", \"us_per_input\": " << m.us_per_input
-        << ", \"speedup_vs_reference\": " << m.speedup_vs_reference << "}";
+        << ", \"scalar_us_per_input\": " << m.scalar_us_per_input
+        << ", \"speedup_vs_scalar\": " << m.speedup_vs_scalar << "}";
     rows.push_back(row.str());
   }
   benchutil::write_json_report(path, "bench_domains", smoke, rows);
@@ -135,15 +133,17 @@ std::vector<DomainMeasurement> run_domain_compare(bool smoke) {
   return results;
 }
 
-/// Outward-only containment check of `vec` against `ref` (the in-run
-/// guard behind the "bounds are cross-checked per run" claim).
-bool bounds_contain(const BoxBatch& ref, const BoxBatch& vec) {
-  if (ref.dimension() != vec.dimension() || ref.size() != vec.size()) {
-    return false;
-  }
-  for (std::size_t j = 0; j < ref.dimension(); ++j) {
-    for (std::size_t i = 0; i < ref.size(); ++i) {
-      if (vec.lo(j, i) > ref.lo(j, i) || vec.hi(j, i) < ref.hi(j, i)) {
+/// Outward-only containment check of the batched bounds against the
+/// scalar estimate of every column (the in-run guard behind the "bounds
+/// are cross-checked per run" claim).
+bool bounds_contain(const std::vector<IntervalVector>& scalar,
+                    const BoxBatch& batched) {
+  if (scalar.size() != batched.size()) return false;
+  for (std::size_t i = 0; i < scalar.size(); ++i) {
+    if (scalar[i].size() != batched.dimension()) return false;
+    for (std::size_t j = 0; j < scalar[i].size(); ++j) {
+      if (batched.lo(j, i) > scalar[i][j].lo ||
+          batched.hi(j, i) < scalar[i][j].hi) {
         return false;
       }
     }
@@ -151,7 +151,23 @@ bool bounds_contain(const BoxBatch& ref, const BoxBatch& vec) {
   return true;
 }
 
-std::vector<BackendMeasurement> run_backend_sweep(bool smoke, bool& sound) {
+/// Times one propagation path: `reps` calls of `fn`, reported in
+/// microseconds per input. The checksum keeps the work observable.
+template <typename Fn>
+double time_us_per_input(std::size_t reps, std::size_t batch, Fn&& fn,
+                         bool& sound) {
+  Timer timer;
+  double checksum = 0.0;
+  for (std::size_t r = 0; r < reps; ++r) checksum += fn();
+  const double us = timer.millis() * 1000.0 / double(reps * batch);
+  if (checksum != checksum) {
+    std::fprintf(stderr, "bench_domains: NaN checksum\n");
+    sound = false;
+  }
+  return us;
+}
+
+std::vector<BatchMeasurement> run_backend_sweep(bool smoke, bool& sound) {
   // Wide-ish MLP so the affine kernels dominate, as in deployment.
   constexpr std::size_t kDepth = 4;
   constexpr std::size_t kWidth = 64;
@@ -165,13 +181,16 @@ std::vector<BackendMeasurement> run_backend_sweep(bool smoke, bool& sound) {
   dims.push_back(8);
   Network net = make_mlp(dims, rng);
   const std::size_t k = net.num_layers();
+  PerturbationSpec spec;
+  spec.delta = 0.05F;
+  const PerturbationEstimator pe(net, k, spec);
 
-  TextTable table("E5b: batched box propagation, backend x batch size "
+  TextTable table("E5b: batched vs scalar box propagation by batch size "
                   "(MLP width 64, depth 4, Δ = 0.05, kp = 0)");
   table.set_header(
-      {"backend", "batch", "us/input", "speedup vs reference"});
+      {"batch", "batched us/input", "scalar us/input", "speedup"});
 
-  std::vector<BackendMeasurement> results;
+  std::vector<BatchMeasurement> results;
   for (const std::size_t batch : batch_sizes) {
     std::vector<Tensor> inputs;
     inputs.reserve(batch);
@@ -183,58 +202,38 @@ std::vector<BackendMeasurement> run_backend_sweep(bool smoke, bool& sound) {
     const std::size_t reps =
         smoke ? 2 : std::max<std::size_t>(4, 4096 / batch);
 
-    double reference_us = 0.0;
-    std::vector<BoxBatch> check;  // one warm-up result per backend
-    for (const BoundBackendKind kind : bound_backend_kinds()) {
-      PerturbationSpec spec;
-      spec.delta = 0.05F;
-      spec.backend = kind;
-      const PerturbationEstimator pe(net, k, spec);
-      check.push_back(pe.estimate_batch(inputs));  // warm-up, untimed
-      Timer timer;
-      double checksum = 0.0;
-      for (std::size_t r = 0; r < reps; ++r) {
-        const BoxBatch bounds = pe.estimate_batch(inputs);
-        checksum += double(bounds.hi(0, 0));
-      }
-      const double us_per_input =
-          timer.millis() * 1000.0 / double(reps * batch);
+    // Warm-up results, untimed, double as the containment check.
+    std::vector<IntervalVector> scalar;
+    scalar.reserve(batch);
+    for (const Tensor& v : inputs) scalar.push_back(pe.estimate(v));
+    if (!bounds_contain(scalar, pe.estimate_batch(inputs))) {
+      std::fprintf(stderr,
+                   "bench_domains: batched bounds tightened inward vs the "
+                   "scalar estimate at batch %zu\n",
+                   batch);
+      sound = false;
+    }
 
-      BackendMeasurement m;
-      m.backend = std::string(bound_backend_name(kind));
-      m.batch_size = batch;
-      m.hidden_layers = kDepth;
-      m.us_per_input = us_per_input;
-      if (kind == BoundBackendKind::kReference) {
-        reference_us = us_per_input;
-        m.speedup_vs_reference = 1.0;
-      } else {
-        m.speedup_vs_reference =
-            us_per_input > 0.0 ? reference_us / us_per_input : 0.0;
-      }
-      results.push_back(m);
-      table.add_row({m.backend, std::to_string(batch),
-                     TextTable::num(m.us_per_input, 2),
-                     TextTable::num(m.speedup_vs_reference, 2)});
-      if (checksum != checksum) {
-        std::fprintf(stderr, "bench_domains: NaN checksum (backend %s)\n",
-                     m.backend.c_str());
-        sound = false;
-      }
-    }
-    // Cross-check: every backend's bounds must contain the reference
-    // bounds (check[0]) — identical or outward-only.
-    for (std::size_t b = 1; b < check.size(); ++b) {
-      if (!bounds_contain(check[0], check[b])) {
-        std::fprintf(stderr,
-                     "bench_domains: backend %s tightened bounds inward "
-                     "vs reference at batch %zu\n",
-                     std::string(bound_backend_name(bound_backend_kinds()[b]))
-                         .c_str(),
-                     batch);
-        sound = false;
-      }
-    }
+    BatchMeasurement m;
+    m.batch_size = batch;
+    m.hidden_layers = kDepth;
+    m.us_per_input = time_us_per_input(
+        reps, batch,
+        [&] { return double(pe.estimate_batch(inputs).hi(0, 0)); }, sound);
+    m.scalar_us_per_input = time_us_per_input(
+        reps, batch,
+        [&] {
+          double sum = 0.0;
+          for (const Tensor& v : inputs) sum += double(pe.estimate(v)[0].hi);
+          return sum;
+        },
+        sound);
+    m.speedup_vs_scalar =
+        m.us_per_input > 0.0 ? m.scalar_us_per_input / m.us_per_input : 0.0;
+    results.push_back(m);
+    table.add_row({std::to_string(batch), TextTable::num(m.us_per_input, 2),
+                   TextTable::num(m.scalar_us_per_input, 2),
+                   TextTable::num(m.speedup_vs_scalar, 2)});
   }
   table.print();
   return results;
@@ -246,22 +245,22 @@ int run(int argc, char** argv) {
 
   const std::vector<DomainMeasurement> domains = run_domain_compare(smoke);
   bool sound = true;
-  const std::vector<BackendMeasurement> backends =
+  const std::vector<BatchMeasurement> batches =
       run_backend_sweep(smoke, sound);
   if (!sound) {
-    std::fprintf(stderr, "bench_domains: backend cross-check FAILED\n");
+    std::fprintf(stderr, "bench_domains: batched-vs-scalar check FAILED\n");
     return 1;
   }
 
-  write_json(json_path, smoke, domains, backends);
+  write_json(json_path, smoke, domains, batches);
   std::printf(
       "wrote %s\n"
       "\n[E5] expected shape: (a) zono/box ratio < 1 everywhere and "
       "shrinking with depth (zonotopes track affine correlations that "
       "boxes lose); zonotope runtime grows with generator count. "
-      "(b) vectorized speedup grows with batch size (contiguous "
-      "neuron-major sweeps amortise across the batch lane) and clears "
-      "2x at batch 256.\n",
+      "(b) batched speedup over the scalar loop grows with batch size "
+      "(contiguous neuron-major sweeps amortise across the batch "
+      "lane).\n",
       json_path.c_str());
   return 0;
 }

@@ -1,24 +1,45 @@
-// Vectorized bound backend: the batch dimension is innermost, so every hot
-// loop sweeps contiguous BoxBatch rows with the neuron's parameters hoisted
-// into scalars — the shape the compiler auto-vectorizes. Per sample the
-// accumulation order and expressions are identical to the reference
-// backend (double accumulators, ascending term order, round_down/round_up
-// at the narrowing cast), so bounds never tighten relative to it: on
-// targets without FP contraction they are bit-identical.
+// Batched box-domain kernels: shape checks, then neuron-major sweeps with
+// the batch dimension innermost. Per sample the accumulation order and
+// expressions match the scalar Layer::propagate(IntervalVector) transfer
+// functions (double accumulators, ascending term order, round_down/round_up
+// at the narrowing cast), so bounds never tighten relative to that path:
+// on targets without FP contraction they are bit-identical.
+#include "absint/box_kernels.hpp"
+
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
+#include <string>
 #include <vector>
-
-#include "absint/bound_backend.hpp"
 
 namespace ranm {
 namespace {
 
+void check_dim(const BoxBatch& in, std::size_t expected, const char* what) {
+  if (in.dimension() != expected) {
+    throw std::invalid_argument(std::string(what) + ": input dimension " +
+                                std::to_string(in.dimension()) +
+                                " does not match expected " +
+                                std::to_string(expected));
+  }
+}
+
+/// The last window along one axis must fit the input extent, or the
+/// kernels read past the row: (out - 1) * stride + window <= in.
+void check_pool_fits(const Pool2DGeometry& g, const char* what) {
+  if ((g.out_height - 1) * g.stride + g.window > g.in_height ||
+      (g.out_width - 1) * g.stride + g.window > g.in_width) {
+    throw std::invalid_argument(std::string(what) +
+                                ": pooling window overruns the input "
+                                "extent");
+  }
+}
+
 /// Stages the centre/radius form of a whole batch once: cen/rad are dim × n
 /// row-major, computed with the same float expressions as
 /// Interval::center()/radius() so downstream accumulation sees the exact
-/// values the reference backend derives per sample.
+/// values the scalar path derives per sample.
 void stage_center_radius(const BoxBatch& in, std::vector<float>& cen,
                          std::vector<float>& rad) {
   const std::size_t n = in.size();
@@ -48,10 +69,20 @@ void emit_bounds(const double* acc_c, const double* acc_r, float* lo,
 
 }  // namespace
 
-BoxBatch VectorizedBoundBackend::do_affine(std::span<const float> w,
-                                           std::size_t rows, std::size_t cols,
-                                           std::span<const float> bias,
-                                           const BoxBatch& in) const {
+BoxBatch box_affine(std::span<const float> w, std::size_t rows,
+                    std::size_t cols, std::span<const float> bias,
+                    const BoxBatch& in) {
+  if (rows == 0 || cols == 0) {
+    throw std::invalid_argument("box_affine: zero dimension");
+  }
+  if (w.size() != rows * cols) {
+    throw std::invalid_argument("box_affine: weight size " +
+                                std::to_string(w.size()) + " != rows*cols");
+  }
+  if (bias.size() != rows) {
+    throw std::invalid_argument("box_affine: bias size mismatch");
+  }
+  check_dim(in, cols, "box_affine");
   const std::size_t n = in.size();
   BoxBatch out(rows, n);
   if (n == 0) return out;
@@ -78,10 +109,18 @@ BoxBatch VectorizedBoundBackend::do_affine(std::span<const float> w,
   return out;
 }
 
-BoxBatch VectorizedBoundBackend::do_conv2d(const Conv2DGeometry& g,
-                                           std::span<const float> w,
-                                           std::span<const float> bias,
-                                           const BoxBatch& in) const {
+BoxBatch box_conv2d(const Conv2DGeometry& g, std::span<const float> w,
+                    std::span<const float> bias, const BoxBatch& in) {
+  if (g.input_size() == 0 || g.output_size() == 0 || g.stride == 0) {
+    throw std::invalid_argument("box_conv2d: empty geometry");
+  }
+  if (w.size() != g.out_channels * g.in_channels * g.kernel_h * g.kernel_w) {
+    throw std::invalid_argument("box_conv2d: weight size mismatch");
+  }
+  if (bias.size() != g.out_channels) {
+    throw std::invalid_argument("box_conv2d: bias size mismatch");
+  }
+  check_dim(in, g.input_size(), "box_conv2d");
   const std::size_t n = in.size();
   BoxBatch out(g.output_size(), n);
   if (n == 0) return out;
@@ -133,8 +172,13 @@ BoxBatch VectorizedBoundBackend::do_conv2d(const Conv2DGeometry& g,
   return out;
 }
 
-BoxBatch VectorizedBoundBackend::do_max_pool(const Pool2DGeometry& g,
-                                             const BoxBatch& in) const {
+BoxBatch box_max_pool(const Pool2DGeometry& g, const BoxBatch& in) {
+  if (g.input_size() == 0 || g.output_size() == 0 || g.window == 0 ||
+      g.stride == 0) {
+    throw std::invalid_argument("box_max_pool: empty geometry");
+  }
+  check_pool_fits(g, "box_max_pool");
+  check_dim(in, g.input_size(), "box_max_pool");
   const std::size_t n = in.size();
   BoxBatch out(g.output_size(), n);
   for (std::size_t ch = 0; ch < g.channels; ++ch) {
@@ -164,8 +208,13 @@ BoxBatch VectorizedBoundBackend::do_max_pool(const Pool2DGeometry& g,
   return out;
 }
 
-BoxBatch VectorizedBoundBackend::do_avg_pool(const Pool2DGeometry& g,
-                                             const BoxBatch& in) const {
+BoxBatch box_avg_pool(const Pool2DGeometry& g, const BoxBatch& in) {
+  if (g.input_size() == 0 || g.output_size() == 0 || g.window == 0 ||
+      g.stride == 0) {
+    throw std::invalid_argument("box_avg_pool: empty geometry");
+  }
+  check_pool_fits(g, "box_avg_pool");
+  check_dim(in, g.input_size(), "box_avg_pool");
   const std::size_t n = in.size();
   const double inv = 1.0 / double(g.window * g.window);
   BoxBatch out(g.output_size(), n);
@@ -202,7 +251,7 @@ BoxBatch VectorizedBoundBackend::do_avg_pool(const Pool2DGeometry& g,
   return out;
 }
 
-BoxBatch VectorizedBoundBackend::do_relu(const BoxBatch& in) const {
+BoxBatch box_relu(const BoxBatch& in) {
   BoxBatch out(in.dimension(), in.size());
   const std::span<const float> ilo = in.lower().storage();
   const std::span<const float> ihi = in.upper().storage();
@@ -215,8 +264,10 @@ BoxBatch VectorizedBoundBackend::do_relu(const BoxBatch& in) const {
   return out;
 }
 
-BoxBatch VectorizedBoundBackend::do_leaky_relu(float alpha,
-                                               const BoxBatch& in) const {
+BoxBatch box_leaky_relu(float alpha, const BoxBatch& in) {
+  if (!(alpha >= 0.0F) || alpha >= 1.0F) {
+    throw std::invalid_argument("box_leaky_relu: alpha must be in [0, 1)");
+  }
   BoxBatch out(in.dimension(), in.size());
   const std::span<const float> ilo = in.lower().storage();
   const std::span<const float> ihi = in.upper().storage();
@@ -231,9 +282,19 @@ BoxBatch VectorizedBoundBackend::do_leaky_relu(float alpha,
   return out;
 }
 
-BoxBatch VectorizedBoundBackend::do_normalize(std::span<const float> mean,
-                                              std::span<const float> inv_std,
-                                              const BoxBatch& in) const {
+BoxBatch box_normalize(std::span<const float> mean,
+                       std::span<const float> inv_std, const BoxBatch& in) {
+  if (mean.size() != in.dimension() || inv_std.size() != in.dimension()) {
+    throw std::invalid_argument("box_normalize: statistics size mismatch");
+  }
+  // Monotonicity (endpoints map to endpoints) requires inv_std > 0; a
+  // non-positive scale would silently invert lo/hi.
+  for (const float s : inv_std) {
+    if (!(s > 0.0F) || !std::isfinite(s)) {
+      throw std::invalid_argument(
+          "box_normalize: inv_std must be positive and finite");
+    }
+  }
   const std::size_t n = in.size();
   BoxBatch out(in.dimension(), in.size());
   for (std::size_t j = 0; j < in.dimension(); ++j) {
@@ -251,8 +312,10 @@ BoxBatch VectorizedBoundBackend::do_normalize(std::span<const float> mean,
   return out;
 }
 
-BoxBatch VectorizedBoundBackend::do_monotone(float (*f)(float),
-                                             const BoxBatch& in) const {
+BoxBatch box_monotone(float (*f)(float), const BoxBatch& in) {
+  if (f == nullptr) {
+    throw std::invalid_argument("box_monotone: null function");
+  }
   BoxBatch out(in.dimension(), in.size());
   const std::span<const float> ilo = in.lower().storage();
   const std::span<const float> ihi = in.upper().storage();

@@ -18,8 +18,8 @@
 //                 nodes[r - 2]; every child ref is strictly greater than
 //                 its parent's ref, so a walk always terminates.
 //
-// Evaluation sweeps samples batch-lane-innermost (like the vectorized
-// bound backend): per-neuron parameters load once per batch row, coding
+// Evaluation sweeps samples batch-lane-innermost (like the batched box
+// kernels): per-neuron parameters load once per batch row, coding
 // fuses compare-and-pack into sample-major u64 codewords (each lane's
 // whole codeword stays on one cache line for the cube compares), cube
 // covers skip coding any neuron no cube tests, and BDD programs run a

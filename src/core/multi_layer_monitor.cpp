@@ -146,7 +146,7 @@ void MultiLayerMonitor::build_robust(const std::vector<Tensor>& data,
         "MultiLayerMonitor::build_robust: zero batch size");
   }
 
-  // The box domain propagates whole chunks on spec.backend's batched
+  // The box domain propagates whole chunks through the batched box
   // kernels; the zonotope domain is inherently per-sample (per-sample
   // generator sets). Either way the resulting bounds are folded into each
   // attached monitor one batched call per chunk, so the monitors'
@@ -162,11 +162,10 @@ void MultiLayerMonitor::build_robust(const std::vector<Tensor>& data,
       hi_batches.emplace_back(e.selection.output_dim(), n);
     }
     if (spec.domain == BoundDomain::kBox) {
-      const BoundBackend& backend = bound_backend(spec.backend);
       const FeatureBatch at_kp = net_.forward_batch(spec.kp, chunk);
       BoxBatch box = BoxBatch::linf_ball(at_kp, spec.delta);
       for (std::size_t k = spec.kp + 1; k <= max_layer_; ++k) {
-        box = net_.layer(k).propagate_batch(backend, box);
+        box = net_.layer(k).propagate_batch(box);
         for (std::size_t e = 0; e < entries_.size(); ++e) {
           if (entries_[e].layer_k != k) continue;
           // Batched projection: selected source rows copy straight into

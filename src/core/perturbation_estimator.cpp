@@ -69,8 +69,7 @@ BoxBatch PerturbationEstimator::estimate_batch(
       // batched bound propagation through layers kp+1..k.
       const FeatureBatch at_kp = net_.forward_batch(spec_.kp, inputs);
       const BoxBatch ball = BoxBatch::linf_ball(at_kp, spec_.delta);
-      return net_.propagate_box_batch(spec_.kp + 1, k_, ball,
-                                      bound_backend(spec_.backend));
+      return net_.propagate_box_batch(spec_.kp + 1, k_, ball);
     }
     case BoundDomain::kZonotope: {
       BoxBatch out(feature_dim(), inputs.size());

@@ -51,9 +51,8 @@ IntervalVector ReLU::propagate(const IntervalVector& in) const {
 
 Zonotope ReLU::propagate(const Zonotope& in) const { return in.relu(); }
 
-BoxBatch ReLU::propagate_batch(const BoundBackend& backend,
-                               const BoxBatch& in) const {
-  return backend.relu(in);
+BoxBatch ReLU::propagate_batch(const BoxBatch& in) const {
+  return box_relu(in);
 }
 
 // ---- LeakyReLU ------------------------------------------------------------
@@ -88,9 +87,8 @@ Zonotope LeakyReLU::propagate(const Zonotope& in) const {
   return in.leaky_relu(alpha_);
 }
 
-BoxBatch LeakyReLU::propagate_batch(const BoundBackend& backend,
-                                    const BoxBatch& in) const {
-  return backend.leaky_relu(alpha_, in);
+BoxBatch LeakyReLU::propagate_batch(const BoxBatch& in) const {
+  return box_leaky_relu(alpha_, in);
 }
 
 // ---- Sigmoid ----------------------------------------------------------------
@@ -113,10 +111,9 @@ Zonotope Sigmoid::propagate(const Zonotope& in) const {
       +[](const Interval& iv) { return iv.sigmoid(); });
 }
 
-BoxBatch Sigmoid::propagate_batch(const BoundBackend& backend,
-                                  const BoxBatch& in) const {
+BoxBatch Sigmoid::propagate_batch(const BoxBatch& in) const {
   // Same scalar expression as Interval::sigmoid's endpoints.
-  return backend.monotone(
+  return box_monotone(
       +[](float v) { return 1.0F / (1.0F + std::exp(-v)); }, in);
 }
 
@@ -135,9 +132,8 @@ Zonotope Tanh::propagate(const Zonotope& in) const {
   return in.monotone_via_box(+[](const Interval& iv) { return iv.tanh_(); });
 }
 
-BoxBatch Tanh::propagate_batch(const BoundBackend& backend,
-                               const BoxBatch& in) const {
-  return backend.monotone(+[](float v) { return std::tanh(v); }, in);
+BoxBatch Tanh::propagate_batch(const BoxBatch& in) const {
+  return box_monotone(+[](float v) { return std::tanh(v); }, in);
 }
 
 }  // namespace ranm

@@ -33,8 +33,7 @@ class ReLU final : public Activation {
   [[nodiscard]] IntervalVector propagate(
       const IntervalVector& in) const override;
   [[nodiscard]] Zonotope propagate(const Zonotope& in) const override;
-  [[nodiscard]] BoxBatch propagate_batch(const BoundBackend& backend,
-                                         const BoxBatch& in) const override;
+  [[nodiscard]] BoxBatch propagate_batch(const BoxBatch& in) const override;
 
  protected:
   [[nodiscard]] float f(float v) const noexcept override;
@@ -50,8 +49,7 @@ class LeakyReLU final : public Activation {
   [[nodiscard]] IntervalVector propagate(
       const IntervalVector& in) const override;
   [[nodiscard]] Zonotope propagate(const Zonotope& in) const override;
-  [[nodiscard]] BoxBatch propagate_batch(const BoundBackend& backend,
-                                         const BoxBatch& in) const override;
+  [[nodiscard]] BoxBatch propagate_batch(const BoxBatch& in) const override;
 
  protected:
   [[nodiscard]] float f(float v) const noexcept override;
@@ -69,8 +67,7 @@ class Sigmoid final : public Activation {
   [[nodiscard]] IntervalVector propagate(
       const IntervalVector& in) const override;
   [[nodiscard]] Zonotope propagate(const Zonotope& in) const override;
-  [[nodiscard]] BoxBatch propagate_batch(const BoundBackend& backend,
-                                         const BoxBatch& in) const override;
+  [[nodiscard]] BoxBatch propagate_batch(const BoxBatch& in) const override;
 
  protected:
   [[nodiscard]] float f(float v) const noexcept override;
@@ -85,8 +82,7 @@ class Tanh final : public Activation {
   [[nodiscard]] IntervalVector propagate(
       const IntervalVector& in) const override;
   [[nodiscard]] Zonotope propagate(const Zonotope& in) const override;
-  [[nodiscard]] BoxBatch propagate_batch(const BoundBackend& backend,
-                                         const BoxBatch& in) const override;
+  [[nodiscard]] BoxBatch propagate_batch(const BoxBatch& in) const override;
 
  protected:
   [[nodiscard]] float f(float v) const noexcept override;

@@ -215,8 +215,7 @@ Zonotope Conv2D::propagate(const Zonotope& in) const {
   return Zonotope(std::move(center), std::move(gens));
 }
 
-BoxBatch Conv2D::propagate_batch(const BoundBackend& backend,
-                                 const BoxBatch& in) const {
+BoxBatch Conv2D::propagate_batch(const BoxBatch& in) const {
   Conv2DGeometry g;
   g.in_channels = cfg_.in_channels;
   g.in_height = cfg_.in_height;
@@ -228,7 +227,7 @@ BoxBatch Conv2D::propagate_batch(const BoundBackend& backend,
   g.kernel_w = cfg_.kernel_w;
   g.stride = cfg_.stride;
   g.padding = cfg_.padding;
-  return backend.conv2d(g, w_.span(), b_.span(), in);
+  return box_conv2d(g, w_.span(), b_.span(), in);
 }
 
 void Conv2D::init_params(Rng& rng) {

@@ -73,9 +73,8 @@ Zonotope Dense::propagate(const Zonotope& in) const {
   return in.affine(w_.span(), out_, b_.span());
 }
 
-BoxBatch Dense::propagate_batch(const BoundBackend& backend,
-                                const BoxBatch& in) const {
-  return backend.affine(w_.span(), out_, in_, b_.span(), in);
+BoxBatch Dense::propagate_batch(const BoxBatch& in) const {
+  return box_affine(w_.span(), out_, in_, b_.span(), in);
 }
 
 void Dense::init_params(Rng& rng) {

@@ -20,8 +20,7 @@ class Dense final : public Layer {
   [[nodiscard]] IntervalVector propagate(
       const IntervalVector& in) const override;
   [[nodiscard]] Zonotope propagate(const Zonotope& in) const override;
-  [[nodiscard]] BoxBatch propagate_batch(const BoundBackend& backend,
-                                         const BoxBatch& in) const override;
+  [[nodiscard]] BoxBatch propagate_batch(const BoxBatch& in) const override;
 
   [[nodiscard]] std::vector<Tensor*> parameters() override {
     return {&w_, &b_};

@@ -30,8 +30,7 @@ IntervalVector Flatten::propagate(const IntervalVector& in) const {
 
 Zonotope Flatten::propagate(const Zonotope& in) const { return in; }
 
-BoxBatch Flatten::propagate_batch(const BoundBackend& /*backend*/,
-                                  const BoxBatch& in) const {
+BoxBatch Flatten::propagate_batch(const BoxBatch& in) const {
   return in;  // identity on data; BoxBatch is already flat
 }
 

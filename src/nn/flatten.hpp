@@ -22,8 +22,7 @@ class Flatten final : public Layer {
   [[nodiscard]] IntervalVector propagate(
       const IntervalVector& in) const override;
   [[nodiscard]] Zonotope propagate(const Zonotope& in) const override;
-  [[nodiscard]] BoxBatch propagate_batch(const BoundBackend& backend,
-                                         const BoxBatch& in) const override;
+  [[nodiscard]] BoxBatch propagate_batch(const BoxBatch& in) const override;
 
  private:
   Shape in_shape_;

@@ -16,7 +16,7 @@
 #include <string>
 #include <vector>
 
-#include "absint/bound_backend.hpp"
+#include "absint/box_kernels.hpp"
 #include "absint/interval.hpp"
 #include "absint/zonotope.hpp"
 #include "tensor/tensor.hpp"
@@ -65,12 +65,12 @@ class Layer {
   [[nodiscard]] virtual Zonotope propagate(const Zonotope& in) const = 0;
 
   /// Sound batched interval transfer: column i of the result contains
-  /// g_k(x) for every x in column i of `in`. Concrete layers map this
-  /// onto one of the backend's batched kernels; the base default falls
-  /// back to the per-sample scalar propagate() (sound for any layer, but
-  /// without the batched memory layout win).
-  [[nodiscard]] virtual BoxBatch propagate_batch(const BoundBackend& backend,
-                                                 const BoxBatch& in) const;
+  /// g_k(x) for every x in column i of `in`, and contains the scalar
+  /// propagate() box of that column. Layers map this onto one of the
+  /// batched box kernels (absint/box_kernels.hpp); Flatten is the
+  /// identity.
+  [[nodiscard]] virtual BoxBatch propagate_batch(
+      const BoxBatch& in) const = 0;
 
   /// Trainable parameter tensors (empty for stateless layers).
   [[nodiscard]] virtual std::vector<Tensor*> parameters() { return {}; }

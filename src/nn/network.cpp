@@ -117,16 +117,15 @@ IntervalVector Network::propagate_box(std::size_t l, std::size_t k,
 }
 
 BoxBatch Network::propagate_box_batch(std::size_t l, std::size_t k,
-                                      const BoxBatch& in,
-                                      const BoundBackend& backend) const {
+                                      const BoxBatch& in) const {
   check_layer_index(l, "propagate_box_batch");
   check_layer_index(k, "propagate_box_batch");
   if (l > k) {
     throw std::invalid_argument("Network::propagate_box_batch: l > k");
   }
-  BoxBatch v = layers_[l - 1]->propagate_batch(backend, in);
+  BoxBatch v = layers_[l - 1]->propagate_batch(in);
   for (std::size_t i = l; i < k; ++i) {
-    v = layers_[i]->propagate_batch(backend, v);
+    v = layers_[i]->propagate_batch(v);
   }
   return v;
 }

@@ -69,12 +69,11 @@ class Network {
   [[nodiscard]] IntervalVector propagate_box(std::size_t l, std::size_t k,
                                              const IntervalVector& in) const;
   /// Batched sound box propagation through layers l..k: every column of
-  /// the BoxBatch is propagated in one pass using the given bound
-  /// backend's batched layer kernels. Column i of the result contains
-  /// G^{l↪k}(x) for every x in column i of `in`.
+  /// the BoxBatch is propagated in one pass through each layer's batched
+  /// box kernel. Column i of the result contains G^{l↪k}(x) for every x
+  /// in column i of `in`, and contains propagate_box(l, k, column i).
   [[nodiscard]] BoxBatch propagate_box_batch(std::size_t l, std::size_t k,
-                                             const BoxBatch& in,
-                                             const BoundBackend& backend) const;
+                                             const BoxBatch& in) const;
   /// Sound zonotope propagation through layers l..k.
   [[nodiscard]] Zonotope propagate_zonotope(std::size_t l, std::size_t k,
                                             const Zonotope& in) const;

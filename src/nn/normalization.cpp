@@ -63,9 +63,8 @@ IntervalVector Normalization::propagate(const IntervalVector& in) const {
   return out;
 }
 
-BoxBatch Normalization::propagate_batch(const BoundBackend& backend,
-                                        const BoxBatch& in) const {
-  return backend.normalize(mean_, inv_std_, in);
+BoxBatch Normalization::propagate_batch(const BoxBatch& in) const {
+  return box_normalize(mean_, inv_std_, in);
 }
 
 Zonotope Normalization::propagate(const Zonotope& in) const {

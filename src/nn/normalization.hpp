@@ -29,8 +29,7 @@ class Normalization final : public Layer {
   [[nodiscard]] IntervalVector propagate(
       const IntervalVector& in) const override;
   [[nodiscard]] Zonotope propagate(const Zonotope& in) const override;
-  [[nodiscard]] BoxBatch propagate_batch(const BoundBackend& backend,
-                                         const BoxBatch& in) const override;
+  [[nodiscard]] BoxBatch propagate_batch(const BoxBatch& in) const override;
 
   [[nodiscard]] const std::vector<float>& mean() const noexcept {
     return mean_;

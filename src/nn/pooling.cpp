@@ -119,9 +119,8 @@ Zonotope MaxPool2D::propagate(const Zonotope& in) const {
   return Zonotope::from_box(propagate(in.to_box()));
 }
 
-BoxBatch MaxPool2D::propagate_batch(const BoundBackend& backend,
-                                    const BoxBatch& in) const {
-  return backend.max_pool(geometry(), in);
+BoxBatch MaxPool2D::propagate_batch(const BoxBatch& in) const {
+  return box_max_pool(geometry(), in);
 }
 
 // ---- AvgPool2D --------------------------------------------------------------
@@ -210,9 +209,8 @@ IntervalVector AvgPool2D::propagate(const IntervalVector& in) const {
   return out;
 }
 
-BoxBatch AvgPool2D::propagate_batch(const BoundBackend& backend,
-                                    const BoxBatch& in) const {
-  return backend.avg_pool(geometry(), in);
+BoxBatch AvgPool2D::propagate_batch(const BoxBatch& in) const {
+  return box_avg_pool(geometry(), in);
 }
 
 Zonotope AvgPool2D::propagate(const Zonotope& in) const {

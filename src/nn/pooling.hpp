@@ -22,7 +22,7 @@ class Pooling : public Layer {
   [[nodiscard]] const Config& config() const noexcept { return cfg_; }
 
  protected:
-  /// The window geometry in the form the bound backends consume.
+  /// The window geometry in the form the batched box kernels consume.
   [[nodiscard]] Pool2DGeometry geometry() const noexcept;
 
   Config cfg_;
@@ -40,8 +40,7 @@ class MaxPool2D final : public Pooling {
   [[nodiscard]] IntervalVector propagate(
       const IntervalVector& in) const override;
   [[nodiscard]] Zonotope propagate(const Zonotope& in) const override;
-  [[nodiscard]] BoxBatch propagate_batch(const BoundBackend& backend,
-                                         const BoxBatch& in) const override;
+  [[nodiscard]] BoxBatch propagate_batch(const BoxBatch& in) const override;
 
  private:
   std::vector<std::size_t> argmax_;  // flat input index per output element
@@ -57,8 +56,7 @@ class AvgPool2D final : public Pooling {
   [[nodiscard]] IntervalVector propagate(
       const IntervalVector& in) const override;
   [[nodiscard]] Zonotope propagate(const Zonotope& in) const override;
-  [[nodiscard]] BoxBatch propagate_batch(const BoundBackend& backend,
-                                         const BoxBatch& in) const override;
+  [[nodiscard]] BoxBatch propagate_batch(const BoxBatch& in) const override;
 
  private:
   void linear_apply(const float* in, float* out) const noexcept;

@@ -61,10 +61,10 @@ TEST(ArgParser, RequireThrowsWhenMissing) {
 // with a diagnostic that spells out the supported space-separated form.
 TEST(ArgParser, EqualsSyntaxRejected) {
   try {
-    ArgParser args({"--backend=vectorized"});
+    ArgParser args({"--domain=zonotope"});
     FAIL() << "expected invalid_argument";
   } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("use '--backend vectorized'"),
+    EXPECT_NE(std::string(e.what()).find("use '--domain zonotope'"),
               std::string::npos)
         << e.what();
   }

@@ -1,17 +1,22 @@
-// Backend-differential suite: the vectorized bound backend is compared
-// against the scalar reference backend over randomized layer chains
-// (Dense / Conv2D / pooling / normalization / activations), random shapes,
-// and batch sizes including 0, 1, and non-multiples of any SIMD lane
-// width. The contract: per element, vectorized bounds must be identical to
-// the reference bounds or widen only outward — never inward. The reference
-// backend itself is pinned bit-for-bit against the per-sample scalar
-// Layer::propagate path it re-implements in batched form.
+// Engine-vs-oracle differential suite: the batched box kernels
+// (Network::propagate_box_batch) are compared against the per-sample
+// scalar Layer::propagate(IntervalVector) path over randomized layer
+// chains (Dense / Conv2D / pooling / normalization / activations), random
+// shapes, sub-range slices, and batch sizes including 0, 1, and
+// non-multiples of any SIMD lane width. The contract: per element, the
+// batched bounds contain the scalar bounds — identical or wider, never
+// tighter. Centres mix uniform draws with boundary values (±0,
+// subnormals, small integers), so the outward rounding at the zero and
+// subnormal edges runs through every kernel.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <iterator>
 #include <limits>
 #include <vector>
 
-#include "absint/bound_backend.hpp"
+#include "absint/box_kernels.hpp"
 #include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/dense.hpp"
@@ -25,12 +30,31 @@
 namespace ranm {
 namespace {
 
+/// Centres on the edges of float arithmetic: signed zeros, subnormals
+/// (including the smallest one), the smallest normal, and exactly
+/// representable integers.
+constexpr float kBoundaryCenters[] = {
+    0.0F, -0.0F, 1e-40F, -1e-40F,
+    std::numeric_limits<float>::denorm_min(),
+    -std::numeric_limits<float>::denorm_min(),
+    std::numeric_limits<float>::min(),
+    -std::numeric_limits<float>::min(),
+    1.0F, -1.0F, 2.0F, -2.0F};
+
+/// Uniform centres in [lo, hi], with about one entry in four replaced by
+/// a boundary value.
 FeatureBatch random_centers(std::size_t dim, std::size_t n, Rng& rng,
                             float lo = -2.0F, float hi = 2.0F) {
+  constexpr std::size_t kNumBoundary = std::size(kBoundaryCenters);
   FeatureBatch batch(dim, n);
   for (std::size_t j = 0; j < dim; ++j) {
     for (std::size_t i = 0; i < n; ++i) {
       batch.at(j, i) = rng.uniform_f(lo, hi);
+      if (rng.chance(0.25)) {
+        const auto pick =
+            std::size_t(rng.uniform_f(0.0F, float(kNumBoundary)));
+        batch.at(j, i) = kBoundaryCenters[std::min(pick, kNumBoundary - 1)];
+      }
     }
   }
   return batch;
@@ -70,60 +94,51 @@ Network make_avgpool_chain(Rng& rng) {
   return net;
 }
 
-/// Per-element contract: vectorized bounds contain the reference bounds.
-void expect_outward_only(const BoxBatch& ref, const BoxBatch& vec) {
-  ASSERT_EQ(ref.dimension(), vec.dimension());
-  ASSERT_EQ(ref.size(), vec.size());
-  for (std::size_t j = 0; j < ref.dimension(); ++j) {
-    for (std::size_t i = 0; i < ref.size(); ++i) {
-      EXPECT_LE(vec.lo(j, i), ref.lo(j, i))
+/// Per-element contract for layers l..k: the batched bounds contain the
+/// scalar propagate_box bounds of every column, and stay numerically
+/// indistinguishable from them (same arithmetic, only the loop nest
+/// differs).
+void expect_contains_scalar(const Network& net, std::size_t l,
+                            std::size_t k, const BoxBatch& in,
+                            const BoxBatch& batched) {
+  ASSERT_EQ(batched.size(), in.size());
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    const IntervalVector scalar = net.propagate_box(l, k, in.box(i));
+    ASSERT_EQ(scalar.size(), batched.dimension());
+    for (std::size_t j = 0; j < scalar.size(); ++j) {
+      EXPECT_LE(batched.lo(j, i), scalar[j].lo)
           << "lower bound tightened inward at neuron " << j << ", sample "
           << i;
-      EXPECT_GE(vec.hi(j, i), ref.hi(j, i))
+      EXPECT_GE(batched.hi(j, i), scalar[j].hi)
           << "upper bound tightened inward at neuron " << j << ", sample "
           << i;
-      EXPECT_LE(vec.lo(j, i), vec.hi(j, i)) << "inverted bound";
+      EXPECT_LE(batched.lo(j, i), batched.hi(j, i)) << "inverted bound";
+      const float slack =
+          1e-4F * (1.0F + std::fabs(scalar[j].lo) + std::fabs(scalar[j].hi));
+      EXPECT_NEAR(batched.lo(j, i), scalar[j].lo, slack);
+      EXPECT_NEAR(batched.hi(j, i), scalar[j].hi, slack);
     }
   }
 }
 
-/// The reference backend's batched result must be bit-for-bit the scalar
-/// per-sample Layer::propagate path.
-void expect_matches_scalar(const Network& net, const BoxBatch& in,
-                           const BoxBatch& ref) {
+/// Runs the whole chain (layers 1..k) and the slice starting at its middle
+/// layer over every batch size and delta.
+void run_differential(const Network& net, Rng& rng) {
   const std::size_t k = net.num_layers();
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    const IntervalVector scalar = net.propagate_box(1, k, in.box(i));
-    ASSERT_EQ(scalar.size(), ref.dimension());
-    for (std::size_t j = 0; j < scalar.size(); ++j) {
-      EXPECT_EQ(scalar[j].lo, ref.lo(j, i))
-          << "reference backend deviates from scalar path at neuron " << j
-          << ", sample " << i;
-      EXPECT_EQ(scalar[j].hi, ref.hi(j, i))
-          << "reference backend deviates from scalar path at neuron " << j
-          << ", sample " << i;
-    }
-  }
-}
-
-void run_differential(Network& net, std::size_t in_dim, Rng& rng) {
-  const BoundBackend& reference =
-      bound_backend(BoundBackendKind::kReference);
-  const BoundBackend& vectorized =
-      bound_backend(BoundBackendKind::kVectorized);
-  const std::size_t k = net.num_layers();
+  const std::size_t mid = 1 + k / 2;
   // Batch sizes around every boundary: empty, single sample, odd sizes
   // that are not a multiple of any SIMD lane width, and one full chunk.
   const std::size_t batch_sizes[] = {0, 1, 3, 7, 17, 33};
   const float deltas[] = {0.0F, 0.02F, 0.4F};
-  for (const std::size_t n : batch_sizes) {
-    for (const float delta : deltas) {
-      const BoxBatch in =
-          BoxBatch::linf_ball(random_centers(in_dim, n, rng), delta);
-      const BoxBatch ref = net.propagate_box_batch(1, k, in, reference);
-      const BoxBatch vec = net.propagate_box_batch(1, k, in, vectorized);
-      expect_outward_only(ref, vec);
-      expect_matches_scalar(net, in, ref);
+  for (const std::size_t l : {std::size_t(1), mid}) {
+    const std::size_t in_dim = net.layer(l).input_size();
+    for (const std::size_t n : batch_sizes) {
+      for (const float delta : deltas) {
+        const BoxBatch in =
+            BoxBatch::linf_ball(random_centers(in_dim, n, rng), delta);
+        expect_contains_scalar(net, l, k, in,
+                               net.propagate_box_batch(l, k, in));
+      }
     }
   }
 }
@@ -137,72 +152,61 @@ TEST(BackendDiff, RandomMlpChains) {
     for (int d = 0; d < depth; ++d) {
       dims.push_back(1 + std::size_t(rng.uniform_f(0, 14)));
     }
-    Network net = make_mlp(dims, rng);
-    run_differential(net, dims.front(), rng);
+    const Network net = make_mlp(dims, rng);
+    run_differential(net, rng);
   }
 }
 
 TEST(BackendDiff, ConvNormPoolChain) {
   Rng rng(99);
-  Network net = make_conv_chain(rng);
-  run_differential(net, 2 * 9 * 9, rng);
+  const Network net = make_conv_chain(rng);
+  run_differential(net, rng);
 }
 
 TEST(BackendDiff, StridedConvAvgPoolChain) {
   Rng rng(123);
-  Network net = make_avgpool_chain(rng);
-  run_differential(net, 8 * 8, rng);
+  const Network net = make_avgpool_chain(rng);
+  run_differential(net, rng);
 }
 
 TEST(BackendDiff, SeedConvnet) {
   Rng rng(7);
-  Network net = make_small_convnet(8, 8, 3, 16, 4, rng);
-  run_differential(net, 8 * 8, rng);
+  const Network net = make_small_convnet(8, 8, 3, 16, 4, rng);
+  run_differential(net, rng);
 }
 
 TEST(BackendDiff, SubRangePropagation) {
   // Propagating a slice l..k (not starting at layer 1) hits the same
-  // kernels with an intermediate-layer input distribution.
+  // kernels with an intermediate-layer input distribution; every start
+  // layer of the MLP is covered, and so is a slice ending early.
   Rng rng(11);
-  Network net = make_mlp({6, 12, 9, 5}, rng);
-  const BoundBackend& reference =
-      bound_backend(BoundBackendKind::kReference);
-  const BoundBackend& vectorized =
-      bound_backend(BoundBackendKind::kVectorized);
-  const std::size_t mid_dim = net.layer(2).output_size();
-  const BoxBatch in =
-      BoxBatch::linf_ball(random_centers(mid_dim, 13, rng), 0.1F);
-  const BoxBatch ref =
-      net.propagate_box_batch(3, net.num_layers(), in, reference);
-  const BoxBatch vec =
-      net.propagate_box_batch(3, net.num_layers(), in, vectorized);
-  expect_outward_only(ref, vec);
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    const IntervalVector scalar =
-        net.propagate_box(3, net.num_layers(), in.box(i));
-    for (std::size_t j = 0; j < scalar.size(); ++j) {
-      EXPECT_EQ(scalar[j].lo, ref.lo(j, i));
-      EXPECT_EQ(scalar[j].hi, ref.hi(j, i));
-    }
+  const Network net = make_mlp({6, 12, 9, 5}, rng);
+  const std::size_t k = net.num_layers();
+  for (std::size_t l = 1; l <= k; ++l) {
+    const std::size_t in_dim = net.layer(l).input_size();
+    const BoxBatch in =
+        BoxBatch::linf_ball(random_centers(in_dim, 13, rng), 0.1F);
+    expect_contains_scalar(net, l, k, in, net.propagate_box_batch(l, k, in));
+    expect_contains_scalar(net, l, l, in, net.propagate_box_batch(l, l, in));
   }
 }
 
 TEST(BackendDiff, DimensionMismatchThrows) {
   Rng rng(5);
-  Network net = make_mlp({6, 4, 3}, rng);
+  const Network net = make_mlp({6, 4, 3}, rng);
   const BoxBatch wrong =
       BoxBatch::linf_ball(random_centers(5, 2, rng), 0.1F);
-  for (const BoundBackendKind kind : bound_backend_kinds()) {
-    EXPECT_THROW(net.propagate_box_batch(1, net.num_layers(), wrong,
-                                         bound_backend(kind)),
-                 std::invalid_argument);
-  }
+  EXPECT_THROW((void)net.propagate_box_batch(1, net.num_layers(), wrong),
+               std::invalid_argument);
+  // The scalar oracle rejects the same input.
+  EXPECT_THROW((void)net.propagate_box(1, net.num_layers(), wrong.box(0)),
+               std::invalid_argument);
 }
 
 TEST(BackendDiff, BackendValidatesKernelPreconditions) {
-  // The public BoundBackend entry points are the seam external backends
-  // and callers plug into: an inconsistent pooling geometry (window
-  // overrunning the input extent) or a non-positive inv_std must be
+  // The box kernels are callable on their own: an inconsistent pooling
+  // geometry (window overrunning the input extent), a non-positive
+  // inv_std, an out-of-range slope or a mis-sized weight matrix must be
   // rejected before any kernel touches memory.
   Rng rng(9);
   const BoxBatch in = BoxBatch::linf_ball(random_centers(16, 2, rng), 0.1F);
@@ -216,13 +220,12 @@ TEST(BackendDiff, BackendValidatesKernelPreconditions) {
   bad.stride = 2;
   const std::vector<float> mean(16, 0.0F);
   const std::vector<float> neg_std(16, -1.0F);
-  for (const BoundBackendKind kind : bound_backend_kinds()) {
-    const BoundBackend& be = bound_backend(kind);
-    EXPECT_THROW((void)be.max_pool(bad, in), std::invalid_argument);
-    EXPECT_THROW((void)be.avg_pool(bad, in), std::invalid_argument);
-    EXPECT_THROW((void)be.normalize(mean, neg_std, in),
-                 std::invalid_argument);
-  }
+  EXPECT_THROW((void)box_max_pool(bad, in), std::invalid_argument);
+  EXPECT_THROW((void)box_avg_pool(bad, in), std::invalid_argument);
+  EXPECT_THROW((void)box_normalize(mean, neg_std, in), std::invalid_argument);
+  EXPECT_THROW((void)box_leaky_relu(1.0F, in), std::invalid_argument);
+  const std::vector<float> w(4 * 15, 0.5F), bias(4, 0.0F);
+  EXPECT_THROW((void)box_affine(w, 4, 15, bias, in), std::invalid_argument);
 }
 
 TEST(BackendDiff, BoxBatchContainsRejectsNaN) {

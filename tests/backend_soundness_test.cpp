@@ -4,7 +4,7 @@
 //  1. Bound soundness (Definition 1, sampled): for Δ-bounded perturbations
 //     applied at the output of layer kp, the concretely executed suffix
 //     G^{kp+1↪k} must land inside the batched perturbation estimate — for
-//     both bound backends and both abstract domains.
+//     both abstract domains.
 //
 //  2. Robust-construction soundness (the paper's ⊎R guarantee, sampled):
 //     a robustly built monitor — flat or sharded — must not warn on any
@@ -58,35 +58,30 @@ void check_bounds_contain_concrete(Network& net, const Shape& in_shape,
   const std::vector<Tensor> inputs = random_inputs(in_shape, 5, rng);
   for (const BoundDomain domain :
        {BoundDomain::kBox, BoundDomain::kZonotope}) {
-    for (const BoundBackendKind backend : bound_backend_kinds()) {
-      PerturbationSpec spec;
-      spec.kp = kp;
-      spec.delta = 0.08F;
-      spec.domain = domain;
-      spec.backend = backend;
-      const PerturbationEstimator pe(net, k, spec);
-      const BoxBatch bounds = pe.estimate_batch(inputs);
-      ASSERT_EQ(bounds.size(), inputs.size());
-      ASSERT_EQ(bounds.dimension(), pe.feature_dim());
+    PerturbationSpec spec;
+    spec.kp = kp;
+    spec.delta = 0.08F;
+    spec.domain = domain;
+    const PerturbationEstimator pe(net, k, spec);
+    const BoxBatch bounds = pe.estimate_batch(inputs);
+    ASSERT_EQ(bounds.size(), inputs.size());
+    ASSERT_EQ(bounds.dimension(), pe.feature_dim());
 
-      for (std::size_t i = 0; i < inputs.size(); ++i) {
-        const Tensor at_kp = net.forward_to(kp, inputs[i]);
-        for (int trial = 0; trial < 60; ++trial) {
-          Tensor perturbed = at_kp;
-          for (std::size_t j = 0; j < perturbed.numel(); ++j) {
-            perturbed[j] += rng.uniform_f(-spec.delta, spec.delta);
-          }
-          const Tensor out = net.forward_range(kp + 1, k, perturbed);
-          for (std::size_t j = 0; j < out.numel(); ++j) {
-            EXPECT_GE(out[j], bounds.lo(j, i) - kTol)
-                << "domain " << bound_domain_name(domain) << ", backend "
-                << bound_backend(backend).name() << ", sample " << i
-                << ", neuron " << j;
-            EXPECT_LE(out[j], bounds.hi(j, i) + kTol)
-                << "domain " << bound_domain_name(domain) << ", backend "
-                << bound_backend(backend).name() << ", sample " << i
-                << ", neuron " << j;
-          }
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+      const Tensor at_kp = net.forward_to(kp, inputs[i]);
+      for (int trial = 0; trial < 60; ++trial) {
+        Tensor perturbed = at_kp;
+        for (std::size_t j = 0; j < perturbed.numel(); ++j) {
+          perturbed[j] += rng.uniform_f(-spec.delta, spec.delta);
+        }
+        const Tensor out = net.forward_range(kp + 1, k, perturbed);
+        for (std::size_t j = 0; j < out.numel(); ++j) {
+          EXPECT_GE(out[j], bounds.lo(j, i) - kTol)
+              << "domain " << bound_domain_name(domain) << ", sample " << i
+              << ", neuron " << j;
+          EXPECT_LE(out[j], bounds.hi(j, i) + kTol)
+              << "domain " << bound_domain_name(domain) << ", sample " << i
+              << ", neuron " << j;
         }
       }
     }
@@ -115,7 +110,7 @@ TEST(BackendSoundness, NormTanhBoundsContainConcreteRuns) {
 }
 
 /// Robust builds: Δ-bounded input perturbations of training samples must
-/// never warn, for flat and sharded monitors, both domains, both backends.
+/// never warn, for flat and sharded monitors and both domains.
 TEST(BackendSoundness, RobustBuildsAcceptPerturbedTrainingInputs) {
   Rng rng(44);
   Network net = make_small_convnet(8, 8, 3, 16, 4, rng);
@@ -128,34 +123,30 @@ TEST(BackendSoundness, RobustBuildsAcceptPerturbedTrainingInputs) {
 
   for (const BoundDomain domain :
        {BoundDomain::kBox, BoundDomain::kZonotope}) {
-    for (const BoundBackendKind backend : bound_backend_kinds()) {
-      PerturbationSpec spec;
-      spec.kp = 0;
-      spec.delta = 0.04F;
-      spec.domain = domain;
-      spec.backend = backend;
-      for (const std::size_t shards : {std::size_t(1), std::size_t(3)}) {
-        MonitorOptions opts;
-        opts.family = MonitorFamily::kInterval;
-        opts.bits = 2;
-        opts.shards = shards;
-        opts.threads = 2;
-        const std::unique_ptr<Monitor> monitor = make_monitor(opts, stats);
-        builder.build_robust(*monitor, train, spec);
+    PerturbationSpec spec;
+    spec.kp = 0;
+    spec.delta = 0.04F;
+    spec.domain = domain;
+    for (const std::size_t shards : {std::size_t(1), std::size_t(3)}) {
+      MonitorOptions opts;
+      opts.family = MonitorFamily::kInterval;
+      opts.bits = 2;
+      opts.shards = shards;
+      opts.threads = 2;
+      const std::unique_ptr<Monitor> monitor = make_monitor(opts, stats);
+      builder.build_robust(*monitor, train, spec);
 
-        for (std::size_t i = 0; i < train.size(); ++i) {
-          for (int trial = 0; trial < 8; ++trial) {
-            Tensor perturbed = train[i];
-            for (std::size_t j = 0; j < perturbed.numel(); ++j) {
-              perturbed[j] +=
-                  rng.uniform_f(-0.9F * spec.delta, 0.9F * spec.delta);
-            }
-            EXPECT_FALSE(builder.warns(*monitor, perturbed))
-                << "robust monitor warned on a Δ-bounded perturbation: "
-                << "domain " << bound_domain_name(domain) << ", backend "
-                << bound_backend(backend).name() << ", shards " << shards
-                << ", sample " << i;
+      for (std::size_t i = 0; i < train.size(); ++i) {
+        for (int trial = 0; trial < 8; ++trial) {
+          Tensor perturbed = train[i];
+          for (std::size_t j = 0; j < perturbed.numel(); ++j) {
+            perturbed[j] +=
+                rng.uniform_f(-0.9F * spec.delta, 0.9F * spec.delta);
           }
+          EXPECT_FALSE(builder.warns(*monitor, perturbed))
+              << "robust monitor warned on a Δ-bounded perturbation: "
+              << "domain " << bound_domain_name(domain) << ", shards "
+              << shards << ", sample " << i;
         }
       }
     }

@@ -175,32 +175,54 @@ TEST(MultiLayerMonitor, RobustBuildRequiresKpBelowAllLayers) {
 }
 
 TEST(MultiLayerMonitor, RobustBoxBuildBackendInvariant) {
-  // The multi-layer robust box build runs on the batched bound backends;
-  // every backend must produce a behaviourally identical monitor.
+  // The multi-layer robust box build runs one batched propagation per
+  // chunk; it must produce the same monitors as feeding each layer's
+  // monitor the scalar Network::propagate_box bounds one sample at a time.
   Rng rng(8);
   Network net = make_mlp({4, 10, 6, 2}, rng);
   const std::vector<Tensor> train = random_inputs(rng, 12, 4);
-  const std::vector<Tensor> probes = random_inputs(rng, 24, 4);
+  std::vector<Tensor> probes = random_inputs(rng, 24, 4);
+  probes.insert(probes.end(), train.begin(), train.end());
+  const PerturbationSpec spec{1, 0.05F, BoundDomain::kBox};
+
+  MultiLayerMonitor batched(net, WarnPolicy::kAny);
+  batched.attach(2, NeuronSelection::all(10),
+                 std::make_unique<MinMaxMonitor>(10));
+  batched.attach(4, NeuronSelection::all(6),
+                 std::make_unique<MinMaxMonitor>(6));
+  batched.build_robust(train, spec);
+
+  auto scalar2 = std::make_unique<MinMaxMonitor>(10);
+  auto scalar4 = std::make_unique<MinMaxMonitor>(6);
+  for (const Tensor& v : train) {
+    const Tensor at_kp = net.forward_to(spec.kp, v);
+    const IntervalVector ball =
+        IntervalVector::linf_ball(at_kp.span(), spec.delta);
+    const IntervalVector at2 = net.propagate_box(spec.kp + 1, 2, ball);
+    const IntervalVector at4 = net.propagate_box(3, 4, at2);
+    scalar2->observe_bounds(at2.lowers(), at2.uppers());
+    scalar4->observe_bounds(at4.lowers(), at4.uppers());
+  }
+  // The batched envelopes contain the scalar ones.
+  for (std::size_t m = 0; m < 2; ++m) {
+    const auto& got = dynamic_cast<const MinMaxMonitor&>(batched.monitor(m));
+    const MinMaxMonitor& want = m == 0 ? *scalar2 : *scalar4;
+    for (std::size_t j = 0; j < want.dimension(); ++j) {
+      EXPECT_LE(got.lower(j), want.lower(j)) << "monitor " << m << " " << j;
+      EXPECT_GE(got.upper(j), want.upper(j)) << "monitor " << m << " " << j;
+    }
+  }
+  MultiLayerMonitor scalar(net, WarnPolicy::kAny);
+  scalar.attach(2, NeuronSelection::all(10), std::move(scalar2));
+  scalar.attach(4, NeuronSelection::all(6), std::move(scalar4));
 
   std::vector<std::vector<char>> verdicts;
-  for (const BoundBackendKind backend : bound_backend_kinds()) {
-    MultiLayerMonitor mlm(net, WarnPolicy::kAny);
-    mlm.attach(2, NeuronSelection::all(10),
-               std::make_unique<MinMaxMonitor>(10));
-    mlm.attach(4, NeuronSelection::all(6),
-               std::make_unique<MinMaxMonitor>(6));
-    PerturbationSpec spec{1, 0.05F, BoundDomain::kBox, backend};
-    mlm.build_robust(train, spec);
-
+  for (const MultiLayerMonitor* mlm : {&batched, &scalar}) {
     auto out = std::make_unique<bool[]>(probes.size());
-    mlm.warns_batch(probes, {out.get(), probes.size()});
-    std::vector<char> v(probes.size());
-    for (std::size_t i = 0; i < probes.size(); ++i) v[i] = out[i];
-    verdicts.push_back(std::move(v));
+    mlm->warns_batch(probes, {out.get(), probes.size()});
+    verdicts.emplace_back(out.get(), out.get() + probes.size());
   }
-  for (std::size_t b = 1; b < verdicts.size(); ++b) {
-    EXPECT_EQ(verdicts[b], verdicts[0]);
-  }
+  EXPECT_EQ(verdicts[0], verdicts[1]);
 }
 
 struct MultiLemmaCase {

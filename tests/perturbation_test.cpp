@@ -167,10 +167,10 @@ TEST(PerturbationEstimator, RejectsNonFiniteDelta) {
   }
 }
 
-/// Batched-vs-scalar equivalence on the seed networks: the reference
-/// backend (and the per-sample zonotope path) must reproduce estimate()
-/// bit-for-bit; the vectorized backend may only widen outward and must
-/// stay numerically indistinguishable in practice.
+/// Batched-vs-scalar equivalence on the seed networks: the per-sample
+/// zonotope path must reproduce estimate() bit-for-bit; the batched box
+/// kernels may only widen outward and must stay numerically
+/// indistinguishable in practice.
 TEST(PerturbationEstimator, BatchedMatchesScalarOnSeedNetworks) {
   struct NetCase {
     Network net;
@@ -190,34 +190,27 @@ TEST(PerturbationEstimator, BatchedMatchesScalarOnSeedNetworks) {
     }
     for (const BoundDomain domain :
          {BoundDomain::kBox, BoundDomain::kZonotope}) {
-      for (const BoundBackendKind backend : bound_backend_kinds()) {
-        PerturbationSpec spec;
-        spec.kp = c.kp;
-        spec.delta = 0.05F;
-        spec.domain = domain;
-        spec.backend = backend;
-        const PerturbationEstimator pe(c.net, c.net.num_layers(), spec);
-        const BoxBatch batched = pe.estimate_batch(inputs);
-        ASSERT_EQ(batched.size(), inputs.size());
-        for (std::size_t i = 0; i < inputs.size(); ++i) {
-          const IntervalVector scalar = pe.estimate(inputs[i]);
-          ASSERT_EQ(scalar.size(), batched.dimension());
-          for (std::size_t j = 0; j < scalar.size(); ++j) {
-            if (backend == BoundBackendKind::kReference ||
-                domain == BoundDomain::kZonotope) {
-              EXPECT_EQ(batched.lo(j, i), scalar[j].lo)
-                  << bound_domain_name(domain) << " sample " << i;
-              EXPECT_EQ(batched.hi(j, i), scalar[j].hi)
-                  << bound_domain_name(domain) << " sample " << i;
-            } else {
-              EXPECT_LE(batched.lo(j, i), scalar[j].lo);
-              EXPECT_GE(batched.hi(j, i), scalar[j].hi);
-              const float slack =
-                  1e-4F * (1.0F + std::fabs(scalar[j].lo) +
-                           std::fabs(scalar[j].hi));
-              EXPECT_NEAR(batched.lo(j, i), scalar[j].lo, slack);
-              EXPECT_NEAR(batched.hi(j, i), scalar[j].hi, slack);
-            }
+      PerturbationSpec spec;
+      spec.kp = c.kp;
+      spec.delta = 0.05F;
+      spec.domain = domain;
+      const PerturbationEstimator pe(c.net, c.net.num_layers(), spec);
+      const BoxBatch batched = pe.estimate_batch(inputs);
+      ASSERT_EQ(batched.size(), inputs.size());
+      for (std::size_t i = 0; i < inputs.size(); ++i) {
+        const IntervalVector scalar = pe.estimate(inputs[i]);
+        ASSERT_EQ(scalar.size(), batched.dimension());
+        for (std::size_t j = 0; j < scalar.size(); ++j) {
+          if (domain == BoundDomain::kZonotope) {
+            EXPECT_EQ(batched.lo(j, i), scalar[j].lo) << "sample " << i;
+            EXPECT_EQ(batched.hi(j, i), scalar[j].hi) << "sample " << i;
+          } else {
+            EXPECT_LE(batched.lo(j, i), scalar[j].lo);
+            EXPECT_GE(batched.hi(j, i), scalar[j].hi);
+            const float slack = 1e-4F * (1.0F + std::fabs(scalar[j].lo) +
+                                         std::fabs(scalar[j].hi));
+            EXPECT_NEAR(batched.lo(j, i), scalar[j].lo, slack);
+            EXPECT_NEAR(batched.hi(j, i), scalar[j].hi, slack);
           }
         }
       }

