@@ -68,7 +68,6 @@ CompiledMonitor::CompiledMonitor(std::size_t dim, std::string source,
     max_shard_cost_ = std::max(max_shard_cost_,
                                unit_cost_per_sample(sh.unit));
   }
-  scratch_.resize(shards_.size());
 }
 
 void CompiledMonitor::observe(std::span<const float>) {
@@ -104,9 +103,11 @@ void CompiledMonitor::eval_shard(std::size_t s, const FeatureBatch& batch,
   // reads its rows straight out of the full batch — no per-call row-view
   // construction (which allocates, and at batch 1 the allocations cost
   // more than the shard evaluations themselves).
+  // Grown once per thread: no steady-state allocation, nothing shared.
+  thread_local EvalScratch scratch;
   const Shard& sh = shards_[s];
   eval_unit(sh.unit, batch, sh.neurons.empty() ? nullptr : sh.neurons.data(),
-            out, scratch_[s]);
+            out, scratch);
 }
 
 void CompiledMonitor::contains_batch(const FeatureBatch& batch,
@@ -132,11 +133,14 @@ void CompiledMonitor::contains_batch(const FeatureBatch& batch,
     out[0] = verdict;
     return;
   }
-  if (rows_capacity_ < S * n) {
-    rows_scratch_ = std::make_unique<bool[]>(S * n);
-    rows_capacity_ = S * n;
+  // The S x n verdict matrix of the calling thread; pool tasks fill it.
+  thread_local std::unique_ptr<bool[]> rows_scratch;
+  thread_local std::size_t rows_capacity = 0;
+  if (rows_capacity < S * n) {
+    rows_scratch = std::make_unique<bool[]>(S * n);
+    rows_capacity = S * n;
   }
-  bool* rows = rows_scratch_.get();
+  bool* rows = rows_scratch.get();
   const auto run = [&](std::size_t s) { eval_shard(s, batch, rows + s * n); };
   // Tiny batches — by sample count or by estimated per-shard work — run
   // inline even with a pool: waking the workers costs more than the

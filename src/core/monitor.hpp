@@ -19,6 +19,13 @@
 // buffers, threshold loads, BDD cube scratch) out of the sample loop. The
 // base-class defaults fall back to the scalar virtuals so new monitor
 // types only have to implement the scalar path to be correct.
+//
+// Thread model: construction (observe*, set_profiling) needs exclusive
+// access. Queries are const and write nothing in the instance, so any
+// number of threads may query one monitor at once. The one exception is
+// BDD hit profiling, whose counters are plain integers: a profiled
+// monitor must be queried by one thread at a time. Serving never enables
+// profiling.
 #pragma once
 
 #include <span>

@@ -190,12 +190,14 @@ void ShardedMonitor::contains_batch(const FeatureBatch& batch,
   }
   // One result row per shard; rows are disjoint, so the parallel fan-out
   // writes race-free, and the final AND-reduce runs on the caller. The
-  // matrix is monitor-owned scratch, grown once per high-water batch size.
-  if (rows_capacity_ < shards_.size() * n) {
-    rows_capacity_ = shards_.size() * n;
-    rows_scratch_ = std::make_unique<bool[]>(rows_capacity_);
+  // matrix is per-thread scratch, grown once per high-water batch size.
+  thread_local std::unique_ptr<bool[]> rows_scratch;
+  thread_local std::size_t rows_capacity = 0;
+  if (rows_capacity < shards_.size() * n) {
+    rows_capacity = shards_.size() * n;
+    rows_scratch = std::make_unique<bool[]>(rows_capacity);
   }
-  bool* rows_ptr = rows_scratch_.get();
+  bool* rows_ptr = rows_scratch.get();
   for_each_shard(
       [this, &batch, rows_ptr, n](std::size_t s) {
         shards_[s]->contains_batch(batch.view_rows(plan_.neurons(s)),

@@ -11,27 +11,23 @@ Activation::Activation(Shape shape) : shape_(std::move(shape)) {
   }
 }
 
-Tensor Activation::forward(const Tensor& x) {
+Tensor Activation::forward(const Tensor& x) const {
   if (x.numel() != shape_numel(shape_)) {
     throw std::invalid_argument(name() + ": input size mismatch");
   }
-  last_in_ = x;
   Tensor y = x;
   for (std::size_t i = 0; i < y.numel(); ++i) y[i] = f(y[i]);
-  last_out_ = y;
   return y;
 }
 
 Tensor Activation::backward(const Tensor& grad_out) {
-  if (last_in_.empty()) {
-    throw std::logic_error(name() + ": backward before forward");
-  }
-  if (grad_out.numel() != last_in_.numel()) {
+  const Tensor& x = cached_input();
+  if (grad_out.numel() != x.numel()) {
     throw std::invalid_argument(name() + ": gradient size mismatch");
   }
   Tensor g = grad_out;
   for (std::size_t i = 0; i < g.numel(); ++i) {
-    g[i] *= df(last_in_[i], last_out_[i]);
+    g[i] *= df(x[i], f(x[i]));
   }
   return g;
 }

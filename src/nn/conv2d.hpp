@@ -27,7 +27,7 @@ class Conv2D final : public Layer {
   [[nodiscard]] Shape input_shape() const override;
   [[nodiscard]] Shape output_shape() const override;
 
-  [[nodiscard]] Tensor forward(const Tensor& x) override;
+  [[nodiscard]] Tensor forward(const Tensor& x) const override;
   [[nodiscard]] Tensor backward(const Tensor& grad_out) override;
   [[nodiscard]] IntervalVector propagate(
       const IntervalVector& in) const override;
@@ -57,7 +57,6 @@ class Conv2D final : public Layer {
   Tensor w_;   // (out_c, in_c, kh, kw)
   Tensor b_;   // (out_c)
   Tensor gw_, gb_;
-  Tensor last_in_;
 };
 
 }  // namespace ranm

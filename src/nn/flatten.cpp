@@ -10,7 +10,7 @@ Flatten::Flatten(Shape in_shape) : in_shape_(std::move(in_shape)) {
   }
 }
 
-Tensor Flatten::forward(const Tensor& x) {
+Tensor Flatten::forward(const Tensor& x) const {
   if (x.numel() != input_size()) {
     throw std::invalid_argument("Flatten: input size mismatch");
   }

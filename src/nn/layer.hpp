@@ -13,7 +13,9 @@
 #pragma once
 
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "absint/box_kernels.hpp"
@@ -25,9 +27,9 @@ namespace ranm {
 
 class Rng;
 
-/// One transformation g_k of the network. Stateful across
-/// forward()/backward() pairs (activations are cached for the gradient);
-/// the abstract transformers and shape queries are const and reentrant.
+/// One transformation g_k of the network. Inference, the abstract
+/// transformers and the shape queries are const and reentrant; only
+/// training writes (forward_train() keeps its input for backward()).
 class Layer {
  public:
   virtual ~Layer() = default;
@@ -48,12 +50,19 @@ class Layer {
     return shape_numel(output_shape());
   }
 
-  /// Concrete forward pass. Caches whatever backward() needs.
-  [[nodiscard]] virtual Tensor forward(const Tensor& x) = 0;
+  /// Concrete forward pass (inference).
+  [[nodiscard]] virtual Tensor forward(const Tensor& x) const = 0;
+
+  /// Training forward pass: forward(x), keeping x for backward().
+  [[nodiscard]] Tensor forward_train(Tensor x) {
+    Tensor y = forward(x);
+    last_in_ = std::move(x);
+    return y;
+  }
 
   /// Gradient of the loss w.r.t. this layer's input, given the gradient
   /// w.r.t. its output. Accumulates parameter gradients (+=). Must be
-  /// called after forward() on the same sample.
+  /// called after forward_train() on the same sample.
   [[nodiscard]] virtual Tensor backward(const Tensor& grad_out) = 0;
 
   /// Sound interval transfer function: the returned box contains
@@ -80,6 +89,18 @@ class Layer {
   /// Re-randomises parameters with a scheme appropriate for the layer
   /// (He-normal for ReLU-family weight layers). No-op if parameterless.
   virtual void init_params(Rng& /*rng*/) {}
+
+ protected:
+  /// The input of the last forward_train(); throws std::logic_error if none.
+  [[nodiscard]] const Tensor& cached_input() const {
+    if (last_in_.empty()) {
+      throw std::logic_error(name() + ": backward before forward");
+    }
+    return last_in_;
+  }
+
+ private:
+  Tensor last_in_;
 };
 
 }  // namespace ranm

@@ -49,10 +49,12 @@ Shape Network::output_shape() const {
 }
 
 Tensor Network::forward(const Tensor& x) {
-  return forward_to(layers_.size(), x);
+  Tensor v = x;
+  for (auto& layer : layers_) v = layer->forward_train(std::move(v));
+  return v;
 }
 
-Tensor Network::forward_to(std::size_t k, const Tensor& x) {
+Tensor Network::forward_to(std::size_t k, const Tensor& x) const {
   if (k == 0) return x;
   check_layer_index(k, "forward_to");
   Tensor v = x;
@@ -60,7 +62,8 @@ Tensor Network::forward_to(std::size_t k, const Tensor& x) {
   return v;
 }
 
-Tensor Network::forward_range(std::size_t l, std::size_t k, const Tensor& x) {
+Tensor Network::forward_range(std::size_t l, std::size_t k,
+                              const Tensor& x) const {
   check_layer_index(l, "forward_range");
   check_layer_index(k, "forward_range");
   if (l > k) throw std::invalid_argument("Network::forward_range: l > k");
@@ -70,7 +73,7 @@ Tensor Network::forward_range(std::size_t l, std::size_t k, const Tensor& x) {
 }
 
 FeatureBatch Network::forward_batch(std::size_t k,
-                                    std::span<const Tensor> inputs) {
+                                    std::span<const Tensor> inputs) const {
   if (k != 0) check_layer_index(k, "forward_batch");
   if (inputs.empty()) {
     const std::size_t dim =
@@ -93,7 +96,8 @@ FeatureBatch Network::forward_batch(std::size_t k,
   return out;
 }
 
-FeatureBatch Network::forward_batch(std::span<const Tensor> inputs) {
+FeatureBatch Network::forward_batch(
+    std::span<const Tensor> inputs) const {
   return forward_batch(layers_.size(), inputs);
 }
 

@@ -43,26 +43,29 @@ class Network {
   [[nodiscard]] Shape input_shape() const;
   [[nodiscard]] Shape output_shape() const;
 
-  /// Full forward pass G(x).
+  /// Training forward pass G(x): every layer keeps its input for the
+  /// backward() that follows. Inference uses the const passes below.
   [[nodiscard]] Tensor forward(const Tensor& x);
-  /// Prefix G^k(x): layers 1..k. k = 0 returns x unchanged.
-  [[nodiscard]] Tensor forward_to(std::size_t k, const Tensor& x);
+  /// Prefix G^k(x): layers 1..k. k = 0 returns x unchanged. The const
+  /// passes write nothing, so any number of threads may share a Network.
+  [[nodiscard]] Tensor forward_to(std::size_t k, const Tensor& x) const;
   /// Slice G^{l↪k}(x): layers l..k, 1 <= l <= k <= n. The input must have
   /// the shape expected by layer l.
   [[nodiscard]] Tensor forward_range(std::size_t l, std::size_t k,
-                                     const Tensor& x);
+                                     const Tensor& x) const;
 
   /// Batched feature extraction G^k over a minibatch: the layer-k
   /// activations of every input, produced in one pass and scattered
   /// straight into a dim × n FeatureBatch (no per-sample feature-vector
   /// allocations). k = 0 packs the flattened inputs themselves.
-  [[nodiscard]] FeatureBatch forward_batch(std::size_t k,
-                                           std::span<const Tensor> inputs);
+  [[nodiscard]] FeatureBatch forward_batch(
+      std::size_t k, std::span<const Tensor> inputs) const;
   /// Full-network minibatch pass: forward_batch(num_layers(), inputs).
-  [[nodiscard]] FeatureBatch forward_batch(std::span<const Tensor> inputs);
+  [[nodiscard]] FeatureBatch forward_batch(
+      std::span<const Tensor> inputs) const;
 
-  /// Backward pass through all layers (after a full forward on the same
-  /// sample); returns the gradient w.r.t. the input.
+  /// Backward pass through all layers (after a training forward() on the
+  /// same sample); returns the gradient w.r.t. the input.
   [[nodiscard]] Tensor backward(const Tensor& grad_out);
 
   /// Sound box propagation through layers l..k (1 <= l <= k <= n).

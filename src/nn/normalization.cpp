@@ -28,7 +28,7 @@ Normalization::Normalization(Shape shape, float mean, float inv_std)
                     std::vector<float>(shape_numel(shape), mean),
                     std::vector<float>(shape_numel(shape), inv_std)) {}
 
-Tensor Normalization::forward(const Tensor& x) {
+Tensor Normalization::forward(const Tensor& x) const {
   if (x.numel() != input_size()) {
     throw std::invalid_argument("Normalization: input size mismatch");
   }

@@ -35,7 +35,7 @@ class MaxPool2D final : public Pooling {
  public:
   explicit MaxPool2D(const Config& cfg) : Pooling(cfg) {}
   [[nodiscard]] std::string name() const override;
-  [[nodiscard]] Tensor forward(const Tensor& x) override;
+  [[nodiscard]] Tensor forward(const Tensor& x) const override;
   [[nodiscard]] Tensor backward(const Tensor& grad_out) override;
   [[nodiscard]] IntervalVector propagate(
       const IntervalVector& in) const override;
@@ -43,7 +43,13 @@ class MaxPool2D final : public Pooling {
   [[nodiscard]] BoxBatch propagate_batch(const BoxBatch& in) const override;
 
  private:
-  std::vector<std::size_t> argmax_;  // flat input index per output element
+  /// Scans the window of output element (ch, oy, ox) for its first
+  /// strict maximum: returns it (-inf when nothing beats -inf) and stores
+  /// its flat input index (0 then) in `index`. Forward and backward share
+  /// this scan, so backward routes gradients exactly where forward read.
+  [[nodiscard]] float window_max(const float* in, std::size_t ch,
+                                 std::size_t oy, std::size_t ox,
+                                 std::size_t& index) const noexcept;
 };
 
 /// Average pooling (linear, so both abstract transformers are exact).
@@ -51,7 +57,7 @@ class AvgPool2D final : public Pooling {
  public:
   explicit AvgPool2D(const Config& cfg) : Pooling(cfg) {}
   [[nodiscard]] std::string name() const override;
-  [[nodiscard]] Tensor forward(const Tensor& x) override;
+  [[nodiscard]] Tensor forward(const Tensor& x) const override;
   [[nodiscard]] Tensor backward(const Tensor& grad_out) override;
   [[nodiscard]] IntervalVector propagate(
       const IntervalVector& in) const override;

@@ -1,9 +1,9 @@
 // Shared online-adaptation state of one serving process.
 //
-// Every worker replica of a MonitorService clones the *monitor*, but all
-// clones share one AdaptState: the staged-sample pool feeding the next
-// rebuild, the per-shard novelty counters behind kStats, the generation
-// counter, and the in-memory + on-disk history kRollback restores from.
+// A MonitorService (and any clone() of it) keeps its lifecycle in one
+// AdaptState: the staged-sample pool feeding the next rebuild, the
+// per-shard novelty counters behind kStats, the generation counter, and
+// the in-memory + on-disk history kRollback restores from.
 // One mutex guards all of it — staging copies a few KB per observe frame
 // and swap/rollback are rare control operations, so contention is not a
 // concern on this path (queries never touch it).

@@ -1,5 +1,6 @@
 #include "serve/monitor_service.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -24,39 +25,42 @@ std::unique_ptr<Monitor> monitor_from_bytes(const std::string& bytes) {
   return load_any_monitor(in);
 }
 
+/// Per-thread verdict row: every worker queries the one shared service,
+/// so this scratch cannot live in the instance. Grown once per
+/// high-water batch; the hot path pays no steady-state allocation.
+std::span<bool> verdict_row(std::size_t n) {
+  thread_local std::unique_ptr<bool[]> row;
+  thread_local std::size_t capacity = 0;
+  if (capacity < n) {
+    row = std::make_unique<bool[]>(n);
+    capacity = n;
+  }
+  return {row.get(), n};
+}
+
 }  // namespace
 
 MonitorService::MonitorService(Network net,
                                std::unique_ptr<Monitor> monitor,
                                std::size_t layer_k, std::size_t threads)
-    : net_(std::move(net)),
-      monitor_(std::move(monitor)),
-      k_(layer_k),
-      threads_(threads),
-      builder_(net_, layer_k) {
-  if (monitor_ == nullptr) {
+    : net_(std::move(net)), k_(layer_k), threads_(threads) {
+  if (monitor == nullptr) {
     throw std::invalid_argument("MonitorService: null monitor");
   }
-  dim_ = monitor_->dimension();
-  if (dim_ != builder_.feature_dim()) {
-    throw std::invalid_argument(
-        "MonitorService: monitor dimension " + std::to_string(dim_) +
-        " != layer " + std::to_string(layer_k) + " feature dimension " +
-        std::to_string(builder_.feature_dim()));
-  }
-  apply_threads(*monitor_);
+  dim_ = net_.layer(k_).output_size();
+  publish(std::move(monitor));
   // Seed the shared adaptation state with the pristine generation-1
   // bytes. Families without a serialiser — and compiled monitors, which
   // are frozen by design — run with adaptation disabled instead
   // (observe/swap/rollback throw a clear error, kStats reports
   // generation 0).
-  if (dynamic_cast<const compile::CompiledMonitor*>(monitor_.get()) ==
-      nullptr) {
+  const std::shared_ptr<const Snapshot> snap = snapshot();
+  const Monitor& served = *snap->monitor;
+  if (dynamic_cast<const compile::CompiledMonitor*>(&served) == nullptr) {
     try {
-      std::string bytes = monitor_bytes(*monitor_);
+      std::string bytes = monitor_bytes(served);
       std::size_t shard_count = 0;
-      if (const auto* sharded =
-              dynamic_cast<const ShardedMonitor*>(monitor_.get())) {
+      if (const auto* sharded = dynamic_cast<const ShardedMonitor*>(&served)) {
         shard_count = sharded->shard_count();
       }
       adapt_ = std::make_shared<AdaptState>(dim_, std::move(bytes),
@@ -81,25 +85,53 @@ MonitorService MonitorService::from_files(const std::string& net_path,
                         threads);
 }
 
-void MonitorService::apply_threads(Monitor& monitor) const {
-  // Thread count is a host property, not part of the artifact — applied
-  // after every load, exactly as `ranm_cli eval --threads` does.
-  if (auto* sharded = dynamic_cast<ShardedMonitor*>(&monitor)) {
-    sharded->set_threads(threads_);
-  } else if (auto* compiled =
-                 dynamic_cast<compile::CompiledMonitor*>(&monitor)) {
-    compiled->set_threads(threads_);
-  }
+std::shared_ptr<const MonitorService::Snapshot> MonitorService::snapshot()
+    const {
+  MutexLock lock(snapshot_mu_);
+  return snapshot_;
 }
 
-std::shared_ptr<Monitor> MonitorService::snapshot() const {
+void MonitorService::publish(std::unique_ptr<Monitor> monitor) {
+  if (monitor->dimension() != dim_) {
+    throw std::invalid_argument(
+        "MonitorService: monitor dimension " +
+        std::to_string(monitor->dimension()) + " != layer " +
+        std::to_string(k_) + " feature dimension " + std::to_string(dim_));
+  }
+  auto next = std::make_shared<Snapshot>();
+  ServiceStats& stats = next->stats;
+  stats.dimension = dim_;
+  stats.layer = k_;
+  stats.threads = threads_;
+  // Thread count is a host property, not part of the artifact — applied
+  // after every load, exactly as `ranm_cli eval --threads` does.
+  if (auto* sharded = dynamic_cast<ShardedMonitor*>(monitor.get())) {
+    sharded->set_threads(threads_);
+    stats.threads = sharded->threads();
+    stats.shard_strategy =
+        std::string(shard_strategy_name(sharded->plan().strategy()));
+    stats.shard_seed = sharded->plan().seed();
+    for (const auto& s : sharded->shard_stats()) {
+      ShardStatsWire wire;
+      wire.neurons = s.neurons;
+      wire.bdd_nodes = s.bdd_nodes;
+      wire.cubes_inserted = s.cubes_inserted;
+      wire.patterns = s.patterns;
+      stats.shards.push_back(wire);
+    }
+  } else if (auto* compiled =
+                 dynamic_cast<compile::CompiledMonitor*>(monitor.get())) {
+    compiled->set_threads(threads_);
+  }
+  stats.monitor = monitor->describe();
+  next->monitor = std::move(monitor);
   MutexLock lock(snapshot_mu_);
-  return monitor_;
+  snapshot_ = std::move(next);
 }
 
 std::unique_ptr<MonitorService> MonitorService::clone() {
   // Round-trip both artifacts through their serialisers: the same bytes a
-  // deploy would ship, so a replica is bit-identical to loading the
+  // deploy would ship, so the copy is bit-identical to loading the
   // artifacts fresh (the differential tests lean on this).
   std::stringstream net_buf(std::ios::in | std::ios::out |
                             std::ios::binary);
@@ -107,14 +139,14 @@ std::unique_ptr<MonitorService> MonitorService::clone() {
   net_buf.seekg(0);
   std::stringstream mon_buf(std::ios::in | std::ios::out |
                             std::ios::binary);
-  save_any_monitor(mon_buf, *snapshot());
+  save_any_monitor(mon_buf, *snapshot()->monitor);
   mon_buf.seekg(0);
-  auto replica = std::make_unique<MonitorService>(
+  auto copy = std::make_unique<MonitorService>(
       load_network(net_buf), load_any_monitor(mon_buf), k_, threads_);
-  // All replicas share one AdaptState: one staging pool, one generation
-  // counter, one store — a swap through any of them is the swap.
-  replica->adapt_ = adapt_;
-  return replica;
+  // Both share one AdaptState: one staging pool, one generation counter,
+  // one store — a swap through either of them is the swap.
+  copy->adapt_ = adapt_;
+  return copy;
 }
 
 void MonitorService::query_warns_into(std::span<const Tensor> inputs,
@@ -130,14 +162,10 @@ void MonitorService::query_warns_into(std::span<const Tensor> inputs,
   // RCU read side: copy the snapshot pointer, then answer the whole
   // batch against that one monitor. A concurrent adopt() swaps the
   // pointer for the *next* query — never mid-batch.
-  const std::shared_ptr<Monitor> snap = snapshot();
+  const std::shared_ptr<const Snapshot> snap = snapshot();
   const FeatureBatch batch = net_.forward_batch(k_, inputs);
-  if (scratch_capacity_ < inputs.size()) {
-    scratch_ = std::make_unique<bool[]>(inputs.size());
-    scratch_capacity_ = inputs.size();
-  }
-  const std::span<bool> row(scratch_.get(), inputs.size());
-  snap->warn_batch(batch, row);
+  const std::span<bool> row = verdict_row(inputs.size());
+  snap->monitor->warn_batch(batch, row);
   warns.resize(inputs.size());
   std::uint64_t warned = 0;
   for (std::size_t i = 0; i < inputs.size(); ++i) {
@@ -159,15 +187,14 @@ std::vector<std::uint8_t> MonitorService::query_warns(
 
 bool MonitorService::adaptive() const noexcept {
   if (adapt_ == nullptr) return false;
-  const std::shared_ptr<Monitor> snap = snapshot();
-  return dynamic_cast<const compile::CompiledMonitor*>(snap.get()) ==
-         nullptr;
+  return dynamic_cast<const compile::CompiledMonitor*>(
+             snapshot()->monitor.get()) == nullptr;
 }
 
 ObserveReply MonitorService::observe_batch(std::span<const Tensor> inputs) {
-  const std::shared_ptr<Monitor> snap = snapshot();
-  if (dynamic_cast<const compile::CompiledMonitor*>(snap.get()) !=
-      nullptr) {
+  const std::shared_ptr<const Snapshot> snap = snapshot();
+  const Monitor& monitor = *snap->monitor;
+  if (dynamic_cast<const compile::CompiledMonitor*>(&monitor) != nullptr) {
     // Satellite bugfix: a frozen monitor must answer a structured error,
     // not let CompiledMonitor::observe's logic_error escape a worker.
     throw std::invalid_argument(
@@ -189,20 +216,15 @@ ObserveReply MonitorService::observe_batch(std::span<const Tensor> inputs) {
     return reply;
   }
   const FeatureBatch batch = net_.forward_batch(k_, inputs);
-  if (scratch_capacity_ < inputs.size()) {
-    scratch_ = std::make_unique<bool[]>(inputs.size());
-    scratch_capacity_ = inputs.size();
-  }
-  const std::span<bool> row(scratch_.get(), inputs.size());
-  snap->warn_batch(batch, row);
+  const std::span<bool> row = verdict_row(inputs.size());
+  monitor.warn_batch(batch, row);
   for (std::size_t i = 0; i < inputs.size(); ++i) {
     reply.novel += row[i] ? 1 : 0;
   }
   // Per-shard drift: project the batch onto each shard's neuron rows and
   // count the samples outside that shard's region — one view, no copies.
   std::vector<std::uint64_t> shard_novel;
-  if (const auto* sharded =
-          dynamic_cast<const ShardedMonitor*>(snap.get())) {
+  if (const auto* sharded = dynamic_cast<const ShardedMonitor*>(&monitor)) {
     shard_novel.assign(sharded->shard_count(), 0);
     for (std::size_t s = 0; s < sharded->shard_count(); ++s) {
       const FeatureBatch view =
@@ -225,7 +247,7 @@ std::string MonitorService::rebuild_refreshed(std::uint64_t& applied) {
   const RebuildInput input = adapt_->rebuild_input();
   applied = input.staged_count;
   // A fresh monitor from the pristine bytes — not the live object — so
-  // the rebuild shares nothing with the replicas still answering
+  // the rebuild shares nothing with the snapshot still answering
   // queries, and a rollback of the result is exact.
   std::unique_ptr<Monitor> refreshed =
       monitor_from_bytes(input.base_artifact);
@@ -242,15 +264,7 @@ std::string MonitorService::rebuild_refreshed(std::uint64_t& applied) {
 }
 
 void MonitorService::adopt(const std::string& bytes) {
-  std::shared_ptr<Monitor> next = monitor_from_bytes(bytes);
-  if (next->dimension() != dim_) {
-    throw std::invalid_argument(
-        "adopt: artifact dimension " + std::to_string(next->dimension()) +
-        " != served dimension " + std::to_string(dim_));
-  }
-  apply_threads(*next);
-  MutexLock lock(snapshot_mu_);
-  monitor_ = std::move(next);
+  publish(monitor_from_bytes(bytes));
 }
 
 SwapReply MonitorService::commit_swap(std::string bytes,
@@ -273,29 +287,23 @@ std::pair<std::uint64_t, std::string> MonitorService::checkout_generation(
   return adapt_->checkout(target);
 }
 
-RollbackReply MonitorService::commit_rollback(std::uint64_t generation,
-                                              std::string bytes) {
-  adapt_->commit_rollback(generation, std::move(bytes));
-  RollbackReply reply;
-  reply.generation = generation;
-  reply.monitor = monitor_description();
-  return reply;
-}
-
 SwapReply MonitorService::swap() {
   Timer timer;
   std::uint64_t applied = 0;
   std::string bytes = rebuild_refreshed(applied);
   adopt(bytes);
-  const auto duration_us =
-      std::uint64_t(timer.millis() * 1000.0);
+  const auto duration_us = std::uint64_t(timer.millis() * 1000.0);
   return commit_swap(std::move(bytes), applied, duration_us);
 }
 
 RollbackReply MonitorService::rollback(std::uint64_t target) {
   auto [generation, bytes] = checkout_generation(target);
   adopt(bytes);
-  return commit_rollback(generation, std::move(bytes));
+  adapt_->commit_rollback(generation, std::move(bytes));
+  RollbackReply reply;
+  reply.generation = generation;
+  reply.monitor = monitor_description();
+  return reply;
 }
 
 std::uint64_t MonitorService::set_snapshot_store(
@@ -318,15 +326,6 @@ void MonitorService::record_rolling(std::uint64_t samples,
   if (rolling_filled_ < kRollingWindow) ++rolling_filled_;
 }
 
-void MonitorService::rolling_counters(std::uint64_t& samples,
-                                      std::uint64_t& warnings) const {
-  MutexLock lock(rolling_mu_);
-  for (std::size_t i = 0; i < rolling_filled_; ++i) {
-    samples += rolling_[i].first;
-    warnings += rolling_[i].second;
-  }
-}
-
 std::uint64_t MonitorService::generation() const {
   return adapt_ ? adapt_->telemetry().generation : 0;
 }
@@ -336,46 +335,30 @@ std::uint64_t MonitorService::staged_samples() const {
 }
 
 std::string MonitorService::monitor_description() const {
-  return snapshot()->describe();
+  return snapshot()->stats.monitor;
 }
 
 ServiceStats MonitorService::stats() const {
-  const std::shared_ptr<Monitor> snap = snapshot();
-  ServiceStats stats;
-  stats.monitor = snap->describe();
-  stats.dimension = snap->dimension();
-  stats.layer = k_;
-  stats.threads = threads_;
+  ServiceStats stats = snapshot()->stats;
   stats.queries = queries();
   stats.samples = samples();
   stats.warnings = warnings();
-  rolling_counters(stats.rolling_samples, stats.rolling_warnings);
-  AdaptTelemetry adapt;
+  {
+    MutexLock lock(rolling_mu_);
+    for (std::size_t i = 0; i < rolling_filled_; ++i) {
+      stats.rolling_samples += rolling_[i].first;
+      stats.rolling_warnings += rolling_[i].second;
+    }
+  }
   if (adapt_) {
-    adapt = adapt_->telemetry();
+    const AdaptTelemetry adapt = adapt_->telemetry();
     stats.generation = adapt.generation;
     stats.staged_samples = adapt.staged_samples;
     stats.swaps = adapt.swaps;
     stats.rollbacks = adapt.rollbacks;
-  }
-  if (const auto* sharded =
-          dynamic_cast<const ShardedMonitor*>(snap.get())) {
-    stats.threads = sharded->threads();
-    stats.shard_strategy =
-        std::string(shard_strategy_name(sharded->plan().strategy()));
-    stats.shard_seed = sharded->plan().seed();
-    std::size_t index = 0;
-    for (const auto& s : sharded->shard_stats()) {
-      ShardStatsWire wire;
-      wire.neurons = s.neurons;
-      wire.bdd_nodes = s.bdd_nodes;
-      wire.cubes_inserted = s.cubes_inserted;
-      if (index < adapt.shard_novel.size()) {
-        wire.novel = adapt.shard_novel[index];
-      }
-      wire.patterns = s.patterns;
-      stats.shards.push_back(wire);
-      ++index;
+    for (std::size_t i = 0;
+         i < std::min(stats.shards.size(), adapt.shard_novel.size()); ++i) {
+      stats.shards[i].novel = adapt.shard_novel[i];
     }
   }
   return stats;

@@ -13,23 +13,22 @@
 // MonitorService is the transport-independent API: tests and
 // bench_serving call it directly (no subprocess, no socket), while the
 // epoll Server exposes the same calls over the frame protocol.
-// Like every Monitor, a service instance is not thread-safe for queries
-// (forward_batch and warn_batch share per-instance scratch): one thread
-// queries at a time. Concurrency comes from replication instead — the
-// server clone()s one replica per worker, which is sound because monitors
-// are read-only after load. The lifetime counters are atomic, so stats()
-// and the counter accessors may race with a query from another thread.
+//
+// Thread model: every server worker queries one service. Inference and
+// monitor queries are const and keep their scratch per thread, so
+// query_warns_into may run on any number of threads at once. Serving
+// never enables BDD hit profiling, the one query-time write a monitor has.
 //
 // Online adaptation (monitor lifecycle). The served monitor is an
-// RCU-style snapshot: queries copy a shared_ptr under a tiny mutex, then
-// run lock-free against that copy, so a concurrent adopt() publishes a
-// refreshed monitor atomically — every query is answered entirely by the
-// old or the new snapshot, never a blend. observe_batch() stages live
-// batches (as layer-k features) into the AdaptState all replicas share;
+// immutable RCU-style snapshot: queries copy a shared_ptr under a tiny
+// mutex, then run lock-free against that copy, so a concurrent adopt()
+// publishes a refreshed monitor atomically — every query is answered
+// entirely by the old or the new snapshot, never a blend. observe_batch()
+// stages live batches (as layer-k features) into the AdaptState;
 // rebuild_refreshed() folds the staged pool into a fresh monitor loaded
-// from the pristine current-generation bytes — touching no per-replica
-// scratch, so it runs on a background thread while queries continue —
-// and adopt() + commit_swap() publish it everywhere as one generation.
+// from the pristine current-generation bytes, on a background thread
+// while queries continue; adopt() + commit_swap() publish it as the next
+// generation with one deserialisation and one pointer store.
 #pragma once
 
 #include <array>
@@ -41,7 +40,6 @@
 #include <vector>
 
 #include "core/monitor.hpp"
-#include "core/monitor_builder.hpp"
 #include "nn/network.hpp"
 #include "serve/adapt.hpp"
 #include "serve/protocol.hpp"
@@ -75,11 +73,10 @@ class MonitorService {
 
   /// Deep-copies the service by round-tripping both artifacts through
   /// their serialisers — bit-identical network and monitor, fresh
-  /// counters, fresh scratch. This is how the server builds per-worker
-  /// replicas; they share this service's AdaptState, so a swap staged
-  /// through any replica publishes one generation for all of them.
-  /// Non-const only because save_network is. Throws
-  /// std::invalid_argument for monitors without a serialiser.
+  /// counters. The copy shares this service's AdaptState, so a swap
+  /// staged through either publishes one generation for both. Non-const
+  /// only because save_network is. Throws std::invalid_argument for
+  /// monitors without a serialiser.
   [[nodiscard]] std::unique_ptr<MonitorService> clone();
 
   /// Answers one minibatch into `warns` (resized to inputs.size()):
@@ -87,7 +84,8 @@ class MonitorService {
   /// The caller-owned vector keeps its capacity across calls, so a
   /// steady-state serving loop pays no per-query allocation. Throws
   /// std::invalid_argument on a shape mismatch or an oversized batch; the
-  /// service stays usable after a failed query.
+  /// service stays usable after a failed query. Safe for any number of
+  /// concurrent callers, also while a swap or rollback publishes.
   void query_warns_into(std::span<const Tensor> inputs,
                         std::vector<std::uint8_t>& warns);
 
@@ -104,26 +102,25 @@ class MonitorService {
   /// Stages one live minibatch for the next rebuild: extracts layer-k
   /// features, counts how many samples the *current* snapshot warns on
   /// (drift signal, per shard too for sharded monitors), and appends the
-  /// features to the shared staging pool. Serialised with queries on the
-  /// same replica (same scratch); safe against concurrent staging through
-  /// other replicas. Throws std::invalid_argument for frozen/compiled
-  /// monitors and std::runtime_error past the staging cap.
+  /// features to the staging pool. Safe alongside queries, other
+  /// observers and a running rebuild. Throws std::invalid_argument for
+  /// frozen/compiled monitors and std::runtime_error past the staging cap.
   [[nodiscard]] ObserveReply observe_batch(std::span<const Tensor> inputs);
 
   /// Builds the refreshed artifact: loads a fresh monitor from the
   /// pristine current-generation bytes, folds the staged features into
   /// it, and returns its serialised bytes ( `applied` = staged samples
-  /// consumed). Touches no per-replica scratch — safe on a background
-  /// thread while this and other replicas keep answering queries.
+  /// consumed). Reads only the AdaptState — safe on a background thread
+  /// while queries keep being answered.
   [[nodiscard]] std::string rebuild_refreshed(std::uint64_t& applied);
 
-  /// Atomically publishes a monitor loaded from `bytes` as this replica's
+  /// Atomically publishes a monitor loaded from `bytes` as the served
   /// snapshot. In-flight queries keep the snapshot they started with.
   void adopt(const std::string& bytes);
 
   /// Records a rebuilt artifact as the next generation in the shared
   /// AdaptState (persisting it when a store is attached) and returns the
-  /// swap reply. Call after every replica adopt()ed `bytes`.
+  /// swap reply. Call after adopt(`bytes`).
   [[nodiscard]] SwapReply commit_swap(std::string bytes,
                                       std::uint64_t applied,
                                       std::uint64_t duration_us);
@@ -132,22 +129,18 @@ class MonitorService {
   [[nodiscard]] std::pair<std::uint64_t, std::string> checkout_generation(
       std::uint64_t target) const;
 
-  /// Records a rollback in the shared AdaptState. Call after every
-  /// replica adopt()ed the checked-out bytes.
-  [[nodiscard]] RollbackReply commit_rollback(std::uint64_t generation,
-                                              std::string bytes);
-
-  /// In-process swap: rebuild, adopt, commit — what the server spreads
-  /// across its background thread and replicas, in one call.
+  /// Swap: rebuild, adopt, commit. The server runs it on a background
+  /// thread while its workers keep querying.
   [[nodiscard]] SwapReply swap();
 
-  /// In-process rollback to `target` (0 = previous generation).
+  /// Rollback to `target` (0 = previous generation): checkout, adopt,
+  /// commit.
   [[nodiscard]] RollbackReply rollback(std::uint64_t target = 0);
 
   /// Attaches the on-disk generation store. On a fresh store the current
   /// generation is persisted; on a store carrying history (daemon
   /// restart) the newest persisted generation is adopted and returned
-  /// (0 = nothing resumed). Call before clone()ing replicas.
+  /// (0 = nothing resumed). Call before serving.
   std::uint64_t set_snapshot_store(std::unique_ptr<SnapshotStore> store);
 
   /// Lifetime counters plus the per-shard table `ranm_cli info` shows.
@@ -155,8 +148,7 @@ class MonitorService {
   /// another thread queries.
   [[nodiscard]] ServiceStats stats() const;
 
-  // Relaxed snapshots of the lifetime counters (the server aggregates
-  // these across worker replicas for kStats).
+  // Relaxed snapshots of the lifetime counters.
   [[nodiscard]] std::uint64_t queries() const noexcept {
     return queries_.load(std::memory_order_relaxed);
   }
@@ -166,11 +158,6 @@ class MonitorService {
   [[nodiscard]] std::uint64_t warnings() const noexcept {
     return warnings_.load(std::memory_order_relaxed);
   }
-  /// Sums this replica's rolling window (last kRollingWindow queries)
-  /// into the caller's accumulators.
-  void rolling_counters(std::uint64_t& samples,
-                        std::uint64_t& warnings) const
-      RANM_EXCLUDES(rolling_mu_);
 
   /// Published generation (0: adaptation disabled for this family).
   [[nodiscard]] std::uint64_t generation() const;
@@ -183,27 +170,37 @@ class MonitorService {
   [[nodiscard]] std::string monitor_description() const;
 
  private:
+  /// One published monitor plus the identity and static shard table
+  /// stats() reports for it. Immutable once published; the table is
+  /// computed here, once, because describe() and shard_stats() walk every
+  /// BDD node.
+  struct Snapshot {
+    std::unique_ptr<const Monitor> monitor;
+    ServiceStats stats;  // no counters, lifecycle telemetry or novelty
+  };
+
   /// The current snapshot: copied under the lock, used lock-free.
-  [[nodiscard]] std::shared_ptr<Monitor> snapshot() const
+  [[nodiscard]] std::shared_ptr<const Snapshot> snapshot() const
       RANM_EXCLUDES(snapshot_mu_);
-  /// Applies the host thread count to a freshly loaded monitor.
-  void apply_threads(Monitor& monitor) const;
+  /// Applies the host thread count to `monitor`, tabulates it and makes it
+  /// the served snapshot. Throws std::invalid_argument on a dimension
+  /// mismatch, publishing nothing.
+  void publish(std::unique_ptr<Monitor> monitor)
+      RANM_EXCLUDES(snapshot_mu_);
   void record_rolling(std::uint64_t samples, std::uint64_t warnings)
       RANM_EXCLUDES(rolling_mu_);
 
   Network net_;
-  mutable Mutex snapshot_mu_;
-  std::shared_ptr<Monitor> monitor_ RANM_GUARDED_BY(snapshot_mu_);
   std::size_t k_;
   std::size_t threads_;
-  std::size_t dim_;         // fixed across swaps; adopt() re-checks it
-  MonitorBuilder builder_;  // binds net_ + k_; lives exactly as long
-  // Shared across clone()d replicas; null when the family has no
-  // serialiser (adaptation disabled).
+  std::size_t dim_;  // layer k's feature dimension; every snapshot's
+  mutable Mutex snapshot_mu_;
+  std::shared_ptr<const Snapshot> snapshot_ RANM_GUARDED_BY(snapshot_mu_);
+  // Shared with clone()s; null when the family has no serialiser
+  // (adaptation disabled).
   std::shared_ptr<AdaptState> adapt_;
-  // Lifetime counters surfaced in stats frames. Atomic (relaxed): workers
-  // bump their replica's counters while the event loop aggregates them
-  // for a concurrent kStats.
+  // Lifetime counters surfaced in stats frames. Atomic (relaxed): any
+  // number of threads query while stats() reads them.
   std::atomic<std::uint64_t> queries_{0};
   std::atomic<std::uint64_t> samples_{0};
   std::atomic<std::uint64_t> warnings_{0};
@@ -215,10 +212,6 @@ class MonitorService {
       rolling_ RANM_GUARDED_BY(rolling_mu_){};
   std::size_t rolling_next_ RANM_GUARDED_BY(rolling_mu_) = 0;
   std::size_t rolling_filled_ RANM_GUARDED_BY(rolling_mu_) = 0;
-  // Reused per-query verdict scratch: the serving hot path must not pay
-  // steady-state allocator traffic for the bool row.
-  std::unique_ptr<bool[]> scratch_;
-  std::size_t scratch_capacity_ = 0;
 };
 
 }  // namespace ranm::serve

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <exception>
 #include <memory>
+#include <utility>
 
 namespace ranm {
 
@@ -102,7 +103,12 @@ void ThreadPool::parallel_for(
   while (batch->done.load(std::memory_order_acquire) != batch->count) {
     batch->cv.wait(lock);
   }
-  if (batch->error) std::rethrow_exception(batch->error);
+  // Move the exception out: helpers still queued hold `batch` past this
+  // return, and the exception must be released by its handler's thread,
+  // not by whichever helper drops the last reference.
+  if (batch->error) {
+    std::rethrow_exception(std::exchange(batch->error, nullptr));
+  }
 }
 
 }  // namespace ranm

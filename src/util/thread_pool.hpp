@@ -26,8 +26,11 @@ namespace ranm {
 [[nodiscard]] std::size_t resolve_thread_count(std::size_t requested);
 
 /// Fixed set of worker threads executing blocking index-parallel loops.
-/// parallel_for calls are serialised by the caller (the pool is not
-/// reentrant: `body` must not call back into the same pool).
+/// Any number of threads may call parallel_for on one pool at once: each
+/// call keeps its index counter, completion count and first exception in
+/// its own state, and the caller drains its own indices, so a call
+/// finishes even while every worker runs another caller's tasks. `body`
+/// must not call back into the same pool.
 class ThreadPool {
  public:
   /// `threads` is the total concurrency of a parallel_for, including the

@@ -160,7 +160,7 @@ TEST(MaxPool2D, BackwardRoutesToArgmax) {
   cfg.in_width = 2;
   MaxPool2D pool(cfg);
   Tensor x({1, 2, 2}, std::vector<float>{1, 4, 2, 3});
-  (void)pool.forward(x);
+  (void)pool.forward_train(x);
   Tensor g = pool.backward(Tensor({1, 1, 1}, std::vector<float>{10.0F}));
   EXPECT_FLOAT_EQ(g[1], 10.0F);  // the max (value 4) received the gradient
   EXPECT_FLOAT_EQ(g[0], 0.0F);

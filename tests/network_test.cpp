@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "nn/activations.hpp"
 #include "nn/dense.hpp"
 #include "nn/init.hpp"
@@ -133,6 +137,38 @@ TEST(MakeSmallConvnet, EndToEndShapes) {
   Tensor x = Tensor::random_uniform({1, 16, 16}, rng);
   Tensor y = net.forward(x);
   EXPECT_EQ(y.shape(), (Shape{3}));
+}
+
+// Inference is const and writes nothing, so threads may share one
+// Network: four threads running forward_batch concurrently must each get
+// the serial result byte for byte (this suite also runs under TSan).
+TEST(Network, ConcurrentForwardBatchMatchesSerial) {
+  Rng rng(12);
+  const Network net = make_small_convnet(16, 16, 4, 10, 3, rng);
+  std::vector<Tensor> inputs;
+  for (std::size_t i = 0; i < 19; ++i) {
+    inputs.push_back(Tensor::random_uniform({1, 16, 16}, rng));
+  }
+  const FeatureBatch serial = net.forward_batch(inputs);
+  const auto bytes = [](const FeatureBatch& b) {
+    const std::span<const float> data = b.storage();
+    return std::string(reinterpret_cast<const char*>(data.data()),
+                       data.size_bytes());
+  };
+  const std::string expected = bytes(serial);
+
+  constexpr int kThreads = 4;
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < 10; ++round) {
+        if (bytes(net.forward_batch(inputs)) != expected) ++mismatches[t];
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(mismatches[t], 0) << t;
 }
 
 }  // namespace

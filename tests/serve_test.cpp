@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -63,9 +65,10 @@ struct ServeFixture {
     return inputs;
   }
 
-  [[nodiscard]] std::unique_ptr<Monitor> build_monitor(std::size_t shards) {
+  [[nodiscard]] std::unique_ptr<Monitor> build_monitor(
+      std::size_t shards, MonitorFamily family = MonitorFamily::kInterval) {
     MonitorOptions opts;
-    opts.family = MonitorFamily::kInterval;
+    opts.family = family;
     opts.bits = 2;
     opts.shards = shards;
     std::unique_ptr<Monitor> monitor = make_monitor(opts, stats);
@@ -83,6 +86,27 @@ struct ServeFixture {
     monitor.warn_batch(batch, {flags.get(), inputs.size()});
     for (std::size_t i = 0; i < inputs.size(); ++i) out[i] = flags[i];
     return out;
+  }
+
+    /// The identity and shard table a service must report for `monitor`,
+  /// computed fresh (describe() and shard_stats() on the spot).
+  static void expect_published(const ServiceStats& stats,
+                               const Monitor& monitor) {
+    EXPECT_EQ(stats.monitor, monitor.describe());
+    const auto* sharded = dynamic_cast<const ShardedMonitor*>(&monitor);
+    if (sharded == nullptr) {
+      EXPECT_TRUE(stats.shards.empty());
+      return;
+    }
+    const auto fresh = sharded->shard_stats();
+    ASSERT_EQ(stats.shards.size(), fresh.size());
+    for (std::size_t s = 0; s < fresh.size(); ++s) {
+      EXPECT_EQ(stats.shards[s].neurons, fresh[s].neurons) << s;
+      EXPECT_EQ(stats.shards[s].bdd_nodes, fresh[s].bdd_nodes) << s;
+      EXPECT_EQ(stats.shards[s].cubes_inserted, fresh[s].cubes_inserted)
+          << s;
+      EXPECT_EQ(stats.shards[s].patterns, fresh[s].patterns) << s;
+    }
   }
 
   /// Fresh network clone for the service (MonitorService owns its net).
@@ -250,6 +274,11 @@ TEST(MonitorServiceLifecycle, ShardedSwapTracksPerShardNovelty) {
 
   const ServiceStats before = service.stats();
   ASSERT_EQ(before.shards.size(), 4U);
+  // The stored description and shard table match a fresh computation
+  // (describe() includes the host thread count the service applies).
+  const std::unique_ptr<Monitor> original = fx.build_monitor(4);
+  dynamic_cast<ShardedMonitor&>(*original).set_threads(2);
+  ServeFixture::expect_published(before, *original);
   std::uint64_t shard_novel = 0;
   for (const ShardStatsWire& s : before.shards) shard_novel += s.novel;
   // A sample novel to the whole monitor is novel to >= 1 shard.
@@ -264,6 +293,9 @@ TEST(MonitorServiceLifecycle, ShardedSwapTracksPerShardNovelty) {
 
   const std::unique_ptr<Monitor> reference = fx.build_monitor(4);
   reference->observe_batch(fx.net.forward_batch(fx.k, live));
+  dynamic_cast<ShardedMonitor&>(*reference).set_threads(2);
+  EXPECT_EQ(swapped.monitor, reference->describe());
+  ServeFixture::expect_published(after, *reference);
   const std::vector<Tensor> probe = fx.make_inputs(40, 95);
   EXPECT_EQ(service.query_warns(probe),
             fx.direct_warns(*reference, probe));
@@ -275,18 +307,29 @@ TEST(MonitorServiceLifecycle, RollbackRestoresPreviousVerdicts) {
   const std::vector<Tensor> probe = fx.make_inputs(50, 96);
   const std::vector<std::uint8_t> before = service.query_warns(probe);
 
-  (void)service.observe_batch(fx.make_inputs(16, 97));
-  (void)service.swap();
+  const std::vector<Tensor> live = fx.make_inputs(16, 97);
+  (void)service.observe_batch(live);
+  const SwapReply swapped = service.swap();
+  const std::unique_ptr<Monitor> refreshed = fx.build_monitor(1);
+  refreshed->observe_batch(fx.net.forward_batch(fx.k, live));
+  EXPECT_EQ(swapped.monitor, refreshed->describe());
+  ServeFixture::expect_published(service.stats(), *refreshed);
+
   const RollbackReply rolled = service.rollback();
   EXPECT_EQ(rolled.generation, 1U);
   EXPECT_EQ(service.generation(), 1U);
   // Bit-identical to the pre-swap monitor, not merely similar.
   EXPECT_EQ(service.query_warns(probe), before);
+  const std::unique_ptr<Monitor> original = fx.build_monitor(1);
+  EXPECT_EQ(rolled.monitor, original->describe());
+  ServeFixture::expect_published(service.stats(), *original);
 
   // Rolling forward again by explicit generation also works: the swapped
   // artifact stays in history.
-  (void)service.rollback(2);
+  const RollbackReply forward = service.rollback(2);
   EXPECT_EQ(service.generation(), 2U);
+  EXPECT_EQ(forward.monitor, refreshed->describe());
+  ServeFixture::expect_published(service.stats(), *refreshed);
 }
 
 TEST(MonitorServiceLifecycle, RollbackErrors) {
@@ -340,6 +383,92 @@ TEST(MonitorServiceLifecycle, ClonesShareOneGeneration) {
   EXPECT_EQ(replica->generation(), 2U);
   const std::vector<Tensor> probe = fx.make_inputs(30, 89);
   EXPECT_EQ(replica->query_warns(probe), service.query_warns(probe));
+}
+
+// ---- one shared snapshot under concurrency --------------------------------
+
+// Four threads query one service while a fifth alternates swap() and
+// rollback(): every worker shares the one snapshot, so every batch must
+// be answered entirely by one generation — the base monitor or base ⊎
+// live — in every served family. Frozen compiled monitors are
+// query-only.
+TEST(MonitorServiceConcurrency, SharedSnapshotUnderQueriesAndSwaps) {
+  struct Case {
+    const char* name;
+    MonitorFamily family;
+    std::size_t shards;
+    std::size_t threads;
+    bool compiled;
+  };
+  const Case cases[] = {
+      {"interval", MonitorFamily::kInterval, 1, 1, false},
+      {"onoff", MonitorFamily::kOnOff, 1, 1, false},
+      {"sharded", MonitorFamily::kInterval, 4, 2, false},
+      {"compiled", MonitorFamily::kInterval, 1, 1, true},
+      {"compiled-sharded", MonitorFamily::kInterval, 4, 2, true},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    ServeFixture fx;
+    std::unique_ptr<Monitor> served = fx.build_monitor(c.shards, c.family);
+    if (c.compiled) {
+      served = std::make_unique<compile::CompiledMonitor>(
+          compile::compile_monitor(*served));
+    }
+    MonitorService service(fx.clone_net(), std::move(served), fx.k,
+                           c.threads);
+    ASSERT_EQ(service.adaptive(), !c.compiled);
+
+    // Probe = fresh inputs plus the live batch, which only base ⊎ live
+    // accepts, so a blend of the two generations would show.
+    const std::vector<Tensor> live = fx.make_inputs(24, 300);
+    std::vector<Tensor> probe = fx.make_inputs(40, 301);
+    probe.insert(probe.end(), live.begin(), live.end());
+    const std::unique_ptr<Monitor> reference =
+        fx.build_monitor(c.shards, c.family);
+    const std::vector<std::uint8_t> old_warns =
+        fx.direct_warns(*reference, probe);
+    reference->observe_batch(fx.net.forward_batch(fx.k, live));
+    const std::vector<std::uint8_t> new_warns =
+        fx.direct_warns(*reference, probe);
+    if (!c.compiled) {
+      ASSERT_NE(old_warns, new_warns);
+    }
+
+    std::atomic<bool> mutating{true};
+    std::atomic<int> blends{0};
+    std::vector<std::thread> queriers;
+    for (int t = 0; t < 4; ++t) {
+      queriers.emplace_back([&, t] {
+        std::vector<std::uint8_t> warns;
+        // Batch sizes cover the single-sample paths, the scalar fallback
+        // and the pooled shard fan-out (>= 32 samples).
+        const std::size_t sizes[] = {1, 7, probe.size()};
+        for (int round = 0; round < 30 || mutating.load(); ++round) {
+          const std::size_t n = sizes[std::size_t(round + t) % 3];
+          service.query_warns_into({probe.data(), n}, warns);
+          const auto matches = [&](const std::vector<std::uint8_t>& ref) {
+            return std::equal(warns.begin(), warns.end(), ref.begin());
+          };
+          if (warns.size() != n || (!matches(old_warns) &&
+                                    !matches(new_warns))) {
+            blends.fetch_add(1);
+          }
+        }
+      });
+    }
+    if (!c.compiled) {
+      for (int round = 0; round < 4; ++round) {
+        (void)service.observe_batch(live);
+        EXPECT_EQ(service.swap().staged_applied, live.size());
+        EXPECT_EQ(service.rollback(1).generation, 1U);
+      }
+    }
+    mutating.store(false);
+    for (std::thread& t : queriers) t.join();
+    EXPECT_EQ(blends.load(), 0);
+    EXPECT_EQ(service.query_warns(probe), old_warns);
+  }
 }
 
 // ---- socket transport -----------------------------------------------------

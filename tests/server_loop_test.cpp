@@ -302,6 +302,35 @@ TEST(ServerLoop, ConcurrentClientsBitIdenticalToDirect) {
   ASSERT_EQ(stats.workers.size(), 3U);
 }
 
+// kStats' rolling window is "the last 64 queries" of the whole server,
+// however many workers answered them: 100 single-sample queries from
+// three clients over three workers leave exactly 64 samples in it.
+TEST(ServerLoop, RollingWindowCoversLast64QueriesAcrossWorkers) {
+  LoopFixture fx;
+  MonitorService service = fx.make_service();
+  ServerHarness harness(service, unix_config("rolling", 3));
+
+  constexpr std::size_t kClients = 3;
+  constexpr std::size_t kQueries = 100;
+  const std::vector<Tensor> inputs = fx.make_inputs(kQueries, 1100);
+  std::vector<std::thread> clients;
+  for (std::size_t c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      ServeClient client(harness.server.unix_path());
+      for (std::size_t i = c; i < kQueries; i += kClients) {
+        (void)client.query_warns({inputs.data() + i, 1});
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+
+  ServeClient statsc(harness.server.unix_path());
+  const ServiceStats stats = statsc.stats();
+  EXPECT_EQ(stats.queries, kQueries);
+  EXPECT_EQ(stats.rolling_samples, MonitorService::kRollingWindow);
+  EXPECT_LE(stats.rolling_warnings, stats.rolling_samples);
+}
+
 // The single-worker (inline) loop must still multiplex many concurrent
 // connections correctly — same differential, no pool.
 TEST(ServerLoop, InlineModeServesConcurrentClients) {
@@ -311,8 +340,7 @@ TEST(ServerLoop, InlineModeServesConcurrentClients) {
   ServerHarness harness(service, unix_config("inline", 1));
 
   constexpr std::size_t kClients = 3;
-  // Expected verdicts are computed up front: MonitorService::query_warns
-  // is not safe for concurrent callers (that is what replicas are for).
+  // Expected verdicts are computed up front, off the serving path.
   std::vector<std::vector<Tensor>> inputs(kClients);
   std::vector<std::vector<std::uint8_t>> expected(kClients);
   for (std::size_t c = 0; c < kClients; ++c) {
@@ -388,7 +416,7 @@ TEST(ServerLoop, DrainUnderLoadAnswersEveryAcceptedQuery) {
 // The tentpole invariant: swapping the monitor under concurrent query
 // load is atomic per query. Every verdict vector any client ever sees is
 // either the pure-old or the pure-new answer — never a blend — and once
-// the swap reply arrives, fresh queries are pure-new on every replica.
+// the swap reply arrives, fresh queries are pure-new on every worker.
 TEST(ServerLoop, SwapUnderLoadYieldsPureOldOrPureNewVerdicts) {
   LoopFixture fx;
   MonitorService service = fx.make_service();
@@ -401,8 +429,8 @@ TEST(ServerLoop, SwapUnderLoadYieldsPureOldOrPureNewVerdicts) {
   std::vector<std::uint8_t> expected_old;
   std::vector<std::uint8_t> expected_new;
   {
-    // Both expectations computed BEFORE any thread spawns: a reference
-    // service is not safe for concurrent callers.
+    // Both expectations computed before any thread spawns, off the
+    // serving path.
     MonitorService reference = fx.make_service();
     expected_old = reference.query_warns(probe);
     (void)reference.observe_batch(probe);
@@ -448,8 +476,8 @@ TEST(ServerLoop, SwapUnderLoadYieldsPureOldOrPureNewVerdicts) {
   EXPECT_EQ(failures.load(), 0);  // never a blend
   EXPECT_GE(old_seen.load(), 16U);
   EXPECT_GE(new_seen.load(), 16U);
-  // After the swap reply, every replica answers pure-new — a fresh
-  // connection can land on any of the three workers.
+  // After the swap reply, every worker answers pure-new — a fresh
+  // connection can land on any of the three.
   for (int i = 0; i < 6; ++i) {
     ServeClient fresh(harness.server.unix_path());
     EXPECT_EQ(fresh.query_warns(probe), expected_new) << i;

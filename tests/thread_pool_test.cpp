@@ -1,12 +1,15 @@
 // util/thread_pool: index coverage, caller participation, inline modes,
-// exception propagation, and repeated-dispatch stress. These tests also
-// run under the tsan preset in CI, so they deliberately hammer the
-// dispatch/completion protocol from many rounds and sizes.
+// exception propagation, concurrent callers, and repeated-dispatch
+// stress. These tests also run under the tsan preset in CI, so they
+// deliberately hammer the dispatch/completion protocol from many rounds
+// and sizes.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "util/thread_pool.hpp"
@@ -90,6 +93,52 @@ TEST(ThreadPool, ManyRoundsStress) {
     });
   }
   EXPECT_EQ(total.load(), 200L * (16 * 17 / 2));
+}
+
+// Several threads share one pool at once (the serving shape: every
+// worker queries one sharded monitor). Each caller must get exactly its
+// own result, or its own exception, never another caller's.
+TEST(ThreadPool, ConcurrentCallersGetOwnResultsAndExceptions) {
+  ThreadPool pool(4);
+  constexpr std::size_t kCallers = 4;
+  constexpr std::size_t kCount = 256;
+  constexpr std::size_t kThrower = 2;
+  for (int round = 0; round < 20; ++round) {
+    std::vector<long> sums(kCallers, 0);
+    std::vector<int> errors(kCallers, 0);
+    std::vector<std::thread> callers;
+    callers.reserve(kCallers);
+    for (std::size_t c = 0; c < kCallers; ++c) {
+      callers.emplace_back([&, c] {
+        // Caller c sums its own index range [c * kCount, (c+1) * kCount).
+        std::vector<std::atomic<long>> part(kCount);
+        try {
+          pool.parallel_for(kCount, [&, c](std::size_t i) {
+            if (c == kThrower && i == 100) {
+              throw std::runtime_error("caller " + std::to_string(c));
+            }
+            part[i].store(long(c * kCount + i));
+          });
+        } catch (const std::runtime_error& e) {
+          errors[c] = e.what() == "caller " + std::to_string(c) ? 1 : -1;
+          return;
+        }
+        for (const auto& v : part) sums[c] += v.load();
+      });
+    }
+    for (std::thread& t : callers) t.join();
+    for (std::size_t c = 0; c < kCallers; ++c) {
+      if (c == kThrower) {
+        EXPECT_EQ(errors[c], 1) << "round " << round;
+        continue;
+      }
+      const long lo = long(c * kCount);
+      const long hi = lo + long(kCount) - 1;
+      EXPECT_EQ(errors[c], 0) << "caller " << c << " round " << round;
+      EXPECT_EQ(sums[c], (lo + hi) * long(kCount) / 2)
+          << "caller " << c << " round " << round;
+    }
+  }
 }
 
 TEST(ThreadPool, DestructionWithIdleWorkersIsClean) {
