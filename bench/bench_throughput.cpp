@@ -10,10 +10,15 @@
 // plus the end-to-end pipeline (feature extraction + query), the
 // construction loops (observe vs observe_batch), and a sharded mode that
 // sweeps S ∈ {1, 2, 4, 8} shards (T = min(S, 4) threads) against the
-// one-manager baseline for the BDD families. Results are printed as a
+// one-manager baseline for the BDD families. The nn rows time the network
+// itself: `infer` runs the per-sample Layer::forward chain (scalar)
+// against Network::forward_batch (batched) on the digit convnet and the
+// serving MLP, and `train` one epoch of the per-sample
+// Network::forward/backward loop against train(). Results are printed as a
 // table and written as machine-readable JSON (BENCH_throughput.json, or
 // the path given as argv[1]) so the perf trajectory is tracked per-PR.
 // RANM_SMOKE=1 shrinks repetition counts for CI smoke runs.
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <span>
@@ -30,7 +35,11 @@
 #include "core/multi_layer_monitor.hpp"
 #include "core/onoff_monitor.hpp"
 #include "core/sharded_monitor.hpp"
+#include "data/digits.hpp"
 #include "nn/init.hpp"
+#include "nn/loss.hpp"
+#include "nn/optimizer.hpp"
+#include "nn/trainer.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
@@ -323,6 +332,79 @@ void bench_sharded_robust(const std::string& name, const Fixture& f,
   }
 }
 
+/// Per-sample Layer::forward chain vs one Network::forward_batch call,
+/// over the first `batch_size` of `inputs` (which must hold that many).
+Measurement bench_infer(const std::string& name, const Network& net,
+                        const std::vector<Tensor>& inputs,
+                        std::size_t batch_size, std::size_t reps) {
+  Measurement m;
+  m.monitor = name;
+  m.mode = "infer";
+  m.batch_size = batch_size;
+  m.scalar_ns = time_per_sample(reps, batch_size, [&](std::size_t n) {
+    for (std::size_t r = 0; r < n; ++r) {
+      for (std::size_t i = 0; i < batch_size; ++i) {
+        Tensor v = inputs[i];
+        for (std::size_t l = 1; l <= net.num_layers(); ++l) {
+          v = net.layer(l).forward(v);
+        }
+        g_sink += v[0] > 0.0F;
+      }
+    }
+  });
+  const std::span<const Tensor> batch(inputs.data(), batch_size);
+  m.batched_ns = time_per_sample(reps, batch_size, [&](std::size_t n) {
+    for (std::size_t r = 0; r < n; ++r) {
+      g_sink += net.forward_batch(batch).storage()[0] > 0.0F;
+    }
+  });
+  return m;
+}
+
+/// One epoch of minibatch training (batch 16, Adam, cross-entropy) on
+/// the digit convnet: the per-sample Network::forward/backward loop that
+/// train() replaced, against train(). ns per sample.
+Measurement bench_train(std::size_t samples, std::size_t epochs) {
+  Rng rng(31);
+  const DigitConfig digit;
+  const Dataset data =
+      make_digit_dataset(digit, DigitVariant::kNominal, samples, rng);
+  Network net = make_small_convnet(digit.size, digit.size, 6, 32, 10, rng);
+  Adam optimizer(net.parameters(), net.gradients(), Adam::Config{});
+  const SoftmaxCrossEntropyLoss loss;
+  TrainConfig cfg;
+  cfg.epochs = 1;
+  cfg.batch_size = 16;
+  Measurement m;
+  m.monitor = "digit_convnet";
+  m.mode = "train";
+  m.batch_size = cfg.batch_size;
+  m.scalar_ns = time_per_sample(epochs, samples, [&](std::size_t n) {
+    for (std::size_t e = 0; e < n; ++e) {
+      const auto order = rng.permutation(samples);
+      net.zero_gradients();
+      for (std::size_t pos = 0; pos < samples; ++pos) {
+        const std::size_t idx = order[pos];
+        LossResult lr = loss.evaluate(net.forward(data.inputs[idx]),
+                                      data.targets[idx]);
+        lr.grad *= 1.0F / static_cast<float>(cfg.batch_size);
+        (void)net.backward(lr.grad);
+        if ((pos + 1) % cfg.batch_size == 0 || pos + 1 == samples) {
+          optimizer.step();
+        }
+      }
+    }
+  });
+  m.batched_ns = time_per_sample(epochs, samples, [&](std::size_t n) {
+    for (std::size_t e = 0; e < n; ++e) {
+      const auto history =
+          train(net, optimizer, loss, data.inputs, data.targets, cfg, rng);
+      g_sink += history.front().mean_loss > 0.0F;
+    }
+  });
+  return m;
+}
+
 void write_json(const std::string& path, bool smoke,
                 const std::vector<Measurement>& results) {
   std::vector<std::string> rows;
@@ -466,6 +548,27 @@ int run(int argc, char** argv) {
       [&](std::size_t s) {
         return ShardedMonitor::interval(ShardPlan::contiguous(32, s), spec2);
       });
+
+  // The network itself: the digit convnet the examples and perfbench
+  // train, and the serving MLP above (16 -> 64 -> 32 -> 8).
+  {
+    Rng nn_rng(29);
+    const DigitConfig digit;
+    const Network convnet =
+        make_small_convnet(digit.size, digit.size, 6, 32, 10, nn_rng);
+    const Dataset digits =
+        make_digit_dataset(digit, DigitVariant::kNominal, 256, nn_rng);
+    const std::size_t infer_samples = smoke ? 256 : 8192;
+    for (const std::size_t b : {1, 8, 32, 256}) {
+      // The convnet costs ~8x the MLP per sample, so it runs 8x fewer.
+      results.push_back(
+          bench_infer("digit_convnet", convnet, digits.inputs, b,
+                      std::max<std::size_t>(1, infer_samples / b / 8)));
+      results.push_back(
+          bench_infer("mlp", f.net, f.train, b, infer_samples / b));
+    }
+    results.push_back(smoke ? bench_train(64, 1) : bench_train(800, 3));
+  }
 
   TextTable table("batched vs scalar monitor throughput (ns/sample)");
   table.set_header({"monitor", "mode", "batch", "S", "T", "scalar",

@@ -6,8 +6,14 @@
 
 namespace ranm {
 
-FeatureBatch::FeatureBatch(std::size_t dim, std::size_t size)
-    : dim_(dim), size_(size) {
+FeatureBatch::FeatureBatch(std::size_t dim, std::size_t size) {
+  reset(dim, size);
+}
+
+void FeatureBatch::reset(std::size_t dim, std::size_t size) {
+  if (is_view()) {
+    throw std::logic_error("FeatureBatch::reset: view batches are read-only");
+  }
   if (dim == 0 && size != 0) {
     throw std::invalid_argument(
         "FeatureBatch: zero dimension with non-zero size");
@@ -15,6 +21,8 @@ FeatureBatch::FeatureBatch(std::size_t dim, std::size_t size)
   if (size != 0 && dim > std::numeric_limits<std::size_t>::max() / size) {
     throw std::invalid_argument("FeatureBatch: dim * size overflows");
   }
+  dim_ = dim;
+  size_ = size;
   data_.assign(dim * size, 0.0F);
 }
 

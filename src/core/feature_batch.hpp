@@ -32,6 +32,11 @@ class FeatureBatch {
   /// together with size == 0.
   FeatureBatch(std::size_t dim, std::size_t size);
 
+  /// Reshapes an owning batch to dim × size and zero-fills it, reusing the
+  /// allocation when it is large enough. Same preconditions as the
+  /// constructor; views throw std::logic_error.
+  void reset(std::size_t dim, std::size_t size);
+
   /// Packs sample-major vectors (one per sample) into a batch.
   static FeatureBatch from_samples(
       std::size_t dim, std::span<const std::vector<float>> samples);

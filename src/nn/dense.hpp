@@ -17,6 +17,10 @@ class Dense final : public Layer {
 
   [[nodiscard]] Tensor forward(const Tensor& x) const override;
   [[nodiscard]] Tensor backward(const Tensor& grad_out) override;
+  void forward_batch(const FeatureBatch& in,
+                     FeatureBatch& out) const override;
+  void backward_batch(const FeatureBatch& in, const FeatureBatch& grad_out,
+                      FeatureBatch* grad_in) override;
   [[nodiscard]] IntervalVector propagate(
       const IntervalVector& in) const override;
   [[nodiscard]] Zonotope propagate(const Zonotope& in) const override;

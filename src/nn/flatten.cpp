@@ -1,5 +1,6 @@
 #include "nn/flatten.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace ranm {
@@ -22,6 +23,20 @@ Tensor Flatten::backward(const Tensor& grad_out) {
     throw std::invalid_argument("Flatten: gradient size mismatch");
   }
   return grad_out.reshaped(in_shape_);
+}
+
+void Flatten::forward_batch(const FeatureBatch& in, FeatureBatch& out) const {
+  (void)begin_forward_batch(in, out);
+  std::ranges::copy(in.storage(), out.storage().begin());
+}
+
+void Flatten::backward_batch(const FeatureBatch& in,
+                             const FeatureBatch& grad_out,
+                             FeatureBatch* grad_in) {
+  (void)begin_backward_batch(in, grad_out, grad_in);
+  if (grad_in != nullptr) {
+    std::ranges::copy(grad_out.storage(), grad_in->storage().begin());
+  }
 }
 
 IntervalVector Flatten::propagate(const IntervalVector& in) const {

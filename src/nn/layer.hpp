@@ -10,6 +10,12 @@
 // Layers fix their input shape at construction time so that the abstract
 // transformers can operate on flat vectors (row-major CHW order for
 // convolutional layers).
+//
+// Every layer has two concrete paths. The per-sample forward()/backward()
+// is the oracle. The batched kernels run over neuron-major FeatureBatches
+// (dim × n, sample index innermost — the BoxBatch orientation) and are
+// bit-identical to it: each output keeps the oracle's accumulation order,
+// and parameter gradients accumulate sample by sample in order 0..n-1.
 #pragma once
 
 #include <memory>
@@ -21,6 +27,7 @@
 #include "absint/box_kernels.hpp"
 #include "absint/interval.hpp"
 #include "absint/zonotope.hpp"
+#include "core/feature_batch.hpp"
 #include "tensor/tensor.hpp"
 
 namespace ranm {
@@ -65,6 +72,22 @@ class Layer {
   /// called after forward_train() on the same sample.
   [[nodiscard]] virtual Tensor backward(const Tensor& grad_out) = 0;
 
+  /// Batched inference: column i of `out` becomes forward(column i of
+  /// `in`), bit for bit. `in` has input_size() rows; `out` is reset to
+  /// output_size() × in.size(). Both must be owning batches.
+  virtual void forward_batch(const FeatureBatch& in,
+                             FeatureBatch& out) const = 0;
+
+  /// Batched backward over the layer's input batch `in` and the output
+  /// gradient `grad_out` (output_size() × n). Accumulates the parameter
+  /// gradients (+=) sample by sample in order 0..n-1, exactly as n
+  /// forward_train()/backward() calls would, and writes the input gradient
+  /// into *grad_in (reset to input_size() × n) unless grad_in is null —
+  /// the first layer's input gradient is discarded.
+  virtual void backward_batch(const FeatureBatch& in,
+                              const FeatureBatch& grad_out,
+                              FeatureBatch* grad_in) = 0;
+
   /// Sound interval transfer function: the returned box contains
   /// g_k(x) for every x in the input box.
   [[nodiscard]] virtual IntervalVector propagate(
@@ -91,6 +114,29 @@ class Layer {
   virtual void init_params(Rng& /*rng*/) {}
 
  protected:
+  /// Checks forward_batch's input and resets `out`; returns n.
+  std::size_t begin_forward_batch(const FeatureBatch& in,
+                                  FeatureBatch& out) const {
+    if (in.dimension() != input_size()) {
+      throw std::invalid_argument(name() + ": batch input size mismatch");
+    }
+    out.reset(output_size(), in.size());
+    return in.size();
+  }
+  /// Checks backward_batch's operands and resets *grad_in (if any);
+  /// returns n.
+  std::size_t begin_backward_batch(const FeatureBatch& in,
+                                   const FeatureBatch& grad_out,
+                                   FeatureBatch* grad_in) const {
+    if (in.dimension() != input_size() ||
+        grad_out.dimension() != output_size() ||
+        grad_out.size() != in.size()) {
+      throw std::invalid_argument(name() + ": batch gradient size mismatch");
+    }
+    if (grad_in != nullptr) grad_in->reset(input_size(), in.size());
+    return in.size();
+  }
+
   /// The input of the last forward_train(); throws std::logic_error if none.
   [[nodiscard]] const Tensor& cached_input() const {
     if (last_in_.empty()) {

@@ -2,6 +2,7 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 namespace ranm {
 
@@ -80,20 +81,19 @@ FeatureBatch Network::forward_batch(std::size_t k,
         k == 0 ? 0 : layers_[k - 1]->output_size();
     return FeatureBatch(dim, 0);
   }
-  if (k == 0) {
-    FeatureBatch out(inputs.front().numel(), inputs.size());
-    for (std::size_t i = 0; i < inputs.size(); ++i) {
-      out.set_sample(i, inputs[i].span());
-    }
-    return out;
-  }
-  FeatureBatch out(layers_[k - 1]->output_size(), inputs.size());
+  // G^0 packs the inputs as they are; otherwise set_sample rejects any
+  // input that does not match layer 1.
+  FeatureBatch v(k == 0 ? inputs.front().numel() : layers_[0]->input_size(),
+                 inputs.size());
   for (std::size_t i = 0; i < inputs.size(); ++i) {
-    Tensor v = inputs[i];
-    for (std::size_t l = 0; l < k; ++l) v = layers_[l]->forward(v);
-    out.set_sample(i, v.span());
+    v.set_sample(i, inputs[i].span());
   }
-  return out;
+  FeatureBatch next;
+  for (std::size_t l = 0; l < k; ++l) {
+    layers_[l]->forward_batch(v, next);
+    std::swap(v, next);
+  }
+  return v;
 }
 
 FeatureBatch Network::forward_batch(

@@ -45,6 +45,8 @@ class Network {
 
   /// Training forward pass G(x): every layer keeps its input for the
   /// backward() that follows. Inference uses the const passes below.
+  /// forward()/backward() are the per-sample oracle of train()'s batched
+  /// kernels.
   [[nodiscard]] Tensor forward(const Tensor& x);
   /// Prefix G^k(x): layers 1..k. k = 0 returns x unchanged. The const
   /// passes write nothing, so any number of threads may share a Network.
@@ -54,10 +56,12 @@ class Network {
   [[nodiscard]] Tensor forward_range(std::size_t l, std::size_t k,
                                      const Tensor& x) const;
 
-  /// Batched feature extraction G^k over a minibatch: the layer-k
-  /// activations of every input, produced in one pass and scattered
-  /// straight into a dim × n FeatureBatch (no per-sample feature-vector
-  /// allocations). k = 0 packs the flattened inputs themselves.
+  /// Batched feature extraction G^k over a minibatch: the inputs are
+  /// packed once into a neuron-major batch and run through every layer's
+  /// batched kernel, at any n. Column i is bit-identical to
+  /// forward_to(k, inputs[i]). k = 0 packs the flattened inputs
+  /// themselves; for k >= 1 an input whose numel differs from layer 1's
+  /// input size throws std::invalid_argument.
   [[nodiscard]] FeatureBatch forward_batch(
       std::size_t k, std::span<const Tensor> inputs) const;
   /// Full-network minibatch pass: forward_batch(num_layers(), inputs).

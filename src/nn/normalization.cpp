@@ -48,6 +48,32 @@ Tensor Normalization::backward(const Tensor& grad_out) {
   return g;
 }
 
+void Normalization::forward_batch(const FeatureBatch& in,
+                                  FeatureBatch& out) const {
+  const std::size_t n = begin_forward_batch(in, out);
+  const float* x = in.storage().data();
+  float* y = out.storage().data();
+  for (std::size_t j = 0; j < mean_.size(); ++j) {
+    const float m = mean_[j], s = inv_std_[j];
+    for (std::size_t i = 0; i < n; ++i) {
+      y[j * n + i] = (x[j * n + i] - m) * s;
+    }
+  }
+}
+
+void Normalization::backward_batch(const FeatureBatch& in,
+                                   const FeatureBatch& grad_out,
+                                   FeatureBatch* grad_in) {
+  const std::size_t n = begin_backward_batch(in, grad_out, grad_in);
+  if (grad_in == nullptr) return;  // no parameters
+  const float* g = grad_out.storage().data();
+  float* gi = grad_in->storage().data();
+  for (std::size_t j = 0; j < inv_std_.size(); ++j) {
+    const float s = inv_std_[j];
+    for (std::size_t i = 0; i < n; ++i) gi[j * n + i] = g[j * n + i] * s;
+  }
+}
+
 IntervalVector Normalization::propagate(const IntervalVector& in) const {
   if (in.size() != input_size()) {
     throw std::invalid_argument(

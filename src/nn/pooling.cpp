@@ -1,7 +1,9 @@
 #include "nn/pooling.hpp"
 
+#include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <vector>
 
 namespace ranm {
 
@@ -41,20 +43,23 @@ std::string MaxPool2D::name() const {
          ", s=" + std::to_string(cfg_.stride) + ")";
 }
 
-float MaxPool2D::window_max(const float* in, std::size_t ch,
-                             std::size_t oy, std::size_t ox,
-                             std::size_t& index) const noexcept {
+float MaxPool2D::window_max(const float* in, std::size_t step,
+                            std::size_t ch, std::size_t oy, std::size_t ox,
+                            std::size_t& index) const noexcept {
   float best = -std::numeric_limits<float>::infinity();
-  std::size_t best_idx = 0;
+  std::size_t best_idx =
+      (ch * cfg_.in_height + oy * cfg_.stride) * cfg_.in_width +
+      ox * cfg_.stride;
   for (std::size_t ky = 0; ky < cfg_.window; ++ky) {
     for (std::size_t kx = 0; kx < cfg_.window; ++kx) {
       const std::size_t iy = oy * cfg_.stride + ky;
       const std::size_t ix = ox * cfg_.stride + kx;
       const std::size_t idx = (ch * cfg_.in_height + iy) * cfg_.in_width + ix;
-      if (in[idx] > best) {
-        best = in[idx];
-        best_idx = idx;
-      }
+      // Select form: branch-free on data-dependent comparisons.
+      const float v = in[idx * step];
+      const bool better = v > best;
+      best = better ? v : best;
+      best_idx = better ? idx : best_idx;
     }
   }
   index = best_idx;
@@ -71,7 +76,7 @@ Tensor MaxPool2D::forward(const Tensor& x) const {
     for (std::size_t oy = 0; oy < oh_; ++oy) {
       for (std::size_t ox = 0; ox < ow_; ++ox) {
         std::size_t idx = 0;
-        y[(ch * oh_ + oy) * ow_ + ox] = window_max(in, ch, oy, ox, idx);
+        y[(ch * oh_ + oy) * ow_ + ox] = window_max(in, 1, ch, oy, ox, idx);
       }
     }
   }
@@ -88,12 +93,62 @@ Tensor MaxPool2D::backward(const Tensor& grad_out) {
     for (std::size_t oy = 0; oy < oh_; ++oy) {
       for (std::size_t ox = 0; ox < ow_; ++ox) {
         std::size_t idx = 0;
-        (void)window_max(in, ch, oy, ox, idx);
+        (void)window_max(in, 1, ch, oy, ox, idx);
         grad_in[idx] += grad_out[(ch * oh_ + oy) * ow_ + ox];
       }
     }
   }
   return grad_in;
+}
+
+void MaxPool2D::forward_batch(const FeatureBatch& in,
+                              FeatureBatch& out) const {
+  const std::size_t n = begin_forward_batch(in, out);
+  const float* x = in.storage().data();
+  float* y = out.storage().data();
+  // window_max's strict-> scan in select form: `v > best ? v : best`
+  // keeps the first maximum, skips NaN and vectorizes over the batch.
+  for (std::size_t ch = 0; ch < cfg_.channels; ++ch) {
+    for (std::size_t oy = 0; oy < oh_; ++oy) {
+      for (std::size_t ox = 0; ox < ow_; ++ox) {
+        float* best = y + ((ch * oh_ + oy) * ow_ + ox) * n;
+        std::fill(best, best + n, -std::numeric_limits<float>::infinity());
+        for (std::size_t ky = 0; ky < cfg_.window; ++ky) {
+          for (std::size_t kx = 0; kx < cfg_.window; ++kx) {
+            const std::size_t iy = oy * cfg_.stride + ky;
+            const std::size_t ix = ox * cfg_.stride + kx;
+            const float* v =
+                x + ((ch * cfg_.in_height + iy) * cfg_.in_width + ix) * n;
+            for (std::size_t i = 0; i < n; ++i) {
+              best[i] = v[i] > best[i] ? v[i] : best[i];
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+void MaxPool2D::backward_batch(const FeatureBatch& in,
+                               const FeatureBatch& grad_out,
+                               FeatureBatch* grad_in) {
+  const std::size_t n = begin_backward_batch(in, grad_out, grad_in);
+  if (grad_in == nullptr) return;  // no parameters
+  const float* x = in.storage().data();
+  const float* g = grad_out.storage().data();
+  float* gi = grad_in->storage().data();
+  for (std::size_t ch = 0; ch < cfg_.channels; ++ch) {
+    for (std::size_t oy = 0; oy < oh_; ++oy) {
+      for (std::size_t ox = 0; ox < ow_; ++ox) {
+        const float* go = g + ((ch * oh_ + oy) * ow_ + ox) * n;
+        for (std::size_t i = 0; i < n; ++i) {
+          std::size_t idx = 0;
+          (void)window_max(x + i, n, ch, oy, ox, idx);
+          gi[idx * n + i] += go[i];
+        }
+      }
+    }
+  }
 }
 
 IntervalVector MaxPool2D::propagate(const IntervalVector& in) const {
@@ -187,6 +242,61 @@ Tensor AvgPool2D::backward(const Tensor& grad_out) {
     }
   }
   return grad_in;
+}
+
+void AvgPool2D::forward_batch(const FeatureBatch& in,
+                              FeatureBatch& out) const {
+  const std::size_t n = begin_forward_batch(in, out);
+  const float* x = in.storage().data();
+  float* y = out.storage().data();
+  const float inv = 1.0F / static_cast<float>(cfg_.window * cfg_.window);
+  std::vector<double> acc(n);
+  for (std::size_t ch = 0; ch < cfg_.channels; ++ch) {
+    for (std::size_t oy = 0; oy < oh_; ++oy) {
+      for (std::size_t ox = 0; ox < ow_; ++ox) {
+        std::fill(acc.begin(), acc.end(), 0.0);
+        for (std::size_t ky = 0; ky < cfg_.window; ++ky) {
+          for (std::size_t kx = 0; kx < cfg_.window; ++kx) {
+            const std::size_t iy = oy * cfg_.stride + ky;
+            const std::size_t ix = ox * cfg_.stride + kx;
+            const float* v =
+                x + ((ch * cfg_.in_height + iy) * cfg_.in_width + ix) * n;
+            for (std::size_t i = 0; i < n; ++i) acc[i] += v[i];
+          }
+        }
+        float* dst = y + ((ch * oh_ + oy) * ow_ + ox) * n;
+        for (std::size_t i = 0; i < n; ++i) {
+          dst[i] = static_cast<float>(acc[i]) * inv;
+        }
+      }
+    }
+  }
+}
+
+void AvgPool2D::backward_batch(const FeatureBatch& in,
+                               const FeatureBatch& grad_out,
+                               FeatureBatch* grad_in) {
+  const std::size_t n = begin_backward_batch(in, grad_out, grad_in);
+  if (grad_in == nullptr) return;  // no parameters
+  const float* g = grad_out.storage().data();
+  float* gi = grad_in->storage().data();
+  const float inv = 1.0F / static_cast<float>(cfg_.window * cfg_.window);
+  for (std::size_t ch = 0; ch < cfg_.channels; ++ch) {
+    for (std::size_t oy = 0; oy < oh_; ++oy) {
+      for (std::size_t ox = 0; ox < ow_; ++ox) {
+        const float* go = g + ((ch * oh_ + oy) * ow_ + ox) * n;
+        for (std::size_t ky = 0; ky < cfg_.window; ++ky) {
+          for (std::size_t kx = 0; kx < cfg_.window; ++kx) {
+            const std::size_t iy = oy * cfg_.stride + ky;
+            const std::size_t ix = ox * cfg_.stride + kx;
+            float* dst =
+                gi + ((ch * cfg_.in_height + iy) * cfg_.in_width + ix) * n;
+            for (std::size_t i = 0; i < n; ++i) dst[i] += go[i] * inv;
+          }
+        }
+      }
+    }
+  }
 }
 
 IntervalVector AvgPool2D::propagate(const IntervalVector& in) const {

@@ -37,6 +37,10 @@ class MaxPool2D final : public Pooling {
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] Tensor forward(const Tensor& x) const override;
   [[nodiscard]] Tensor backward(const Tensor& grad_out) override;
+  void forward_batch(const FeatureBatch& in,
+                     FeatureBatch& out) const override;
+  void backward_batch(const FeatureBatch& in, const FeatureBatch& grad_out,
+                      FeatureBatch* grad_in) override;
   [[nodiscard]] IntervalVector propagate(
       const IntervalVector& in) const override;
   [[nodiscard]] Zonotope propagate(const Zonotope& in) const override;
@@ -44,11 +48,13 @@ class MaxPool2D final : public Pooling {
 
  private:
   /// Scans the window of output element (ch, oy, ox) for its first
-  /// strict maximum: returns it (-inf when nothing beats -inf) and stores
-  /// its flat input index (0 then) in `index`. Forward and backward share
-  /// this scan, so backward routes gradients exactly where forward read.
-  [[nodiscard]] float window_max(const float* in, std::size_t ch,
-                                 std::size_t oy, std::size_t ox,
+  /// strict maximum; flat CHW element e is read at in[e * step]. Returns
+  /// the maximum (-inf when nothing beats -inf) and stores its flat index
+  /// in `index` (the window's first element then). Every backward path
+  /// uses this scan, so gradients go exactly where forward read.
+  [[nodiscard]] float window_max(const float* in, std::size_t step,
+                                 std::size_t ch, std::size_t oy,
+                                 std::size_t ox,
                                  std::size_t& index) const noexcept;
 };
 
@@ -59,6 +65,10 @@ class AvgPool2D final : public Pooling {
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] Tensor forward(const Tensor& x) const override;
   [[nodiscard]] Tensor backward(const Tensor& grad_out) override;
+  void forward_batch(const FeatureBatch& in,
+                     FeatureBatch& out) const override;
+  void backward_batch(const FeatureBatch& in, const FeatureBatch& grad_out,
+                      FeatureBatch* grad_in) override;
   [[nodiscard]] IntervalVector propagate(
       const IntervalVector& in) const override;
   [[nodiscard]] Zonotope propagate(const Zonotope& in) const override;

@@ -7,6 +7,12 @@
 #include "nn/optimizer.hpp"
 
 namespace ranm {
+namespace {
+
+/// Samples per batched forward pass in the evaluation helpers.
+constexpr std::size_t kEvalChunk = 256;
+
+}  // namespace
 
 std::vector<EpochStats> train(Network& net, Optimizer& optimizer,
                               const Loss& loss,
@@ -21,25 +27,45 @@ std::vector<EpochStats> train(Network& net, Optimizer& optimizer,
     throw std::invalid_argument("train: zero batch size");
   }
 
+  // acts[l] is the input batch of layer l + 1; acts[L] the predictions.
+  const std::size_t num_layers = net.num_layers();
+  std::vector<FeatureBatch> acts(num_layers + 1);
+  FeatureBatch grad, grad_next;
+  Tensor pred(net.output_shape());
+  const float scale = 1.0F / static_cast<float>(cfg.batch_size);
+
   std::vector<EpochStats> history;
   history.reserve(cfg.epochs);
   for (std::size_t epoch = 0; epoch < cfg.epochs; ++epoch) {
     const auto order = rng.permutation(inputs.size());
     double epoch_loss = 0.0;
-    std::size_t batch_count = 0;
     net.zero_gradients();
-    for (std::size_t pos = 0; pos < order.size(); ++pos) {
-      const std::size_t idx = order[pos];
-      const Tensor pred = net.forward(inputs[idx]);
-      LossResult lr = loss.evaluate(pred, targets[idx]);
-      epoch_loss += lr.value;
-      lr.grad *= 1.0F / static_cast<float>(cfg.batch_size);
-      (void)net.backward(lr.grad);
-      ++batch_count;
-      if (batch_count == cfg.batch_size || pos + 1 == order.size()) {
-        optimizer.step();  // also zeroes the gradient accumulators
-        batch_count = 0;
+    // One minibatch per optimizer step, in permutation order; the last
+    // one may be short but keeps the 1/batch_size scale.
+    for (std::size_t start = 0; start < order.size();
+         start += cfg.batch_size) {
+      const std::size_t n = std::min(cfg.batch_size, order.size() - start);
+      acts[0].reset(net.layer(1).input_size(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        acts[0].set_sample(i, inputs[order[start + i]].span());
       }
+      for (std::size_t l = 0; l < num_layers; ++l) {
+        net.layer(l + 1).forward_batch(acts[l], acts[l + 1]);
+      }
+      grad.reset(acts[num_layers].dimension(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        acts[num_layers].copy_sample(i, pred.span());
+        LossResult lr = loss.evaluate(pred, targets[order[start + i]]);
+        epoch_loss += lr.value;
+        lr.grad *= scale;
+        grad.set_sample(i, lr.grad.span());
+      }
+      for (std::size_t l = num_layers; l-- > 0;) {
+        net.layer(l + 1).backward_batch(acts[l], grad,
+                                        l == 0 ? nullptr : &grad_next);
+        std::swap(grad, grad_next);
+      }
+      optimizer.step();  // also zeroes the gradient accumulators
     }
     EpochStats stats;
     stats.epoch = epoch;
@@ -51,31 +77,37 @@ std::vector<EpochStats> train(Network& net, Optimizer& optimizer,
   return history;
 }
 
-float evaluate_loss(Network& net, const Loss& loss,
+float evaluate_loss(const Network& net, const Loss& loss,
                     const std::vector<Tensor>& inputs,
                     const std::vector<Tensor>& targets) {
   if (inputs.size() != targets.size() || inputs.empty()) {
     throw std::invalid_argument("evaluate_loss: bad dataset");
   }
   double acc = 0.0;
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    acc += loss.evaluate(net.forward(inputs[i]), targets[i]).value;
+  Tensor pred(net.output_shape());
+  for (std::size_t start = 0; start < inputs.size(); start += kEvalChunk) {
+    const std::size_t n = std::min(kEvalChunk, inputs.size() - start);
+    const FeatureBatch preds =
+        net.forward_batch({inputs.data() + start, n});
+    for (std::size_t i = 0; i < n; ++i) {
+      preds.copy_sample(i, pred.span());
+      acc += loss.evaluate(pred, targets[start + i]).value;
+    }
   }
   return static_cast<float>(acc / double(inputs.size()));
 }
 
-float evaluate_accuracy(Network& net, const std::vector<Tensor>& inputs,
+float evaluate_accuracy(const Network& net, const std::vector<Tensor>& inputs,
                         const std::vector<Tensor>& targets) {
   if (inputs.size() != targets.size() || inputs.empty()) {
     throw std::invalid_argument("evaluate_accuracy: bad dataset");
   }
   // Batched forward pass; argmax runs class-major over the batch rows.
-  constexpr std::size_t kChunk = 256;
   std::size_t correct = 0;
   std::vector<float> best;
   std::vector<std::size_t> best_idx;
-  for (std::size_t start = 0; start < inputs.size(); start += kChunk) {
-    const std::size_t n = std::min(kChunk, inputs.size() - start);
+  for (std::size_t start = 0; start < inputs.size(); start += kEvalChunk) {
+    const std::size_t n = std::min(kEvalChunk, inputs.size() - start);
     const FeatureBatch preds =
         net.forward_batch({inputs.data() + start, n});
     best.assign(n, -std::numeric_limits<float>::infinity());

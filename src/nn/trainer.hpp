@@ -27,20 +27,23 @@ struct TrainConfig {
 
 /// Trains `net` in place. `inputs` and `targets` must have equal length.
 /// Gradients are averaged over each mini-batch; the optimiser is stepped
-/// once per batch. Returns per-epoch statistics.
+/// once per batch. Each minibatch runs one batched forward, the per-sample
+/// loss in order and one batched backward, bit-identical to a per-sample
+/// Network::forward()/backward() loop. Returns per-epoch statistics.
 std::vector<EpochStats> train(Network& net, Optimizer& optimizer,
                               const Loss& loss,
                               const std::vector<Tensor>& inputs,
                               const std::vector<Tensor>& targets,
                               const TrainConfig& cfg, Rng& rng);
 
-/// Mean loss of `net` over a dataset (no parameter updates).
-float evaluate_loss(Network& net, const Loss& loss,
+/// Mean loss of `net` over a dataset, from batched inference (no
+/// parameter or training-state updates).
+float evaluate_loss(const Network& net, const Loss& loss,
                     const std::vector<Tensor>& inputs,
                     const std::vector<Tensor>& targets);
 
 /// Classification accuracy in [0, 1]: argmax(prediction) vs target[0].
-float evaluate_accuracy(Network& net, const std::vector<Tensor>& inputs,
+float evaluate_accuracy(const Network& net, const std::vector<Tensor>& inputs,
                         const std::vector<Tensor>& targets);
 
 }  // namespace ranm

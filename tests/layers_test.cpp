@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
@@ -166,6 +167,48 @@ TEST(MaxPool2D, BackwardRoutesToArgmax) {
   EXPECT_FLOAT_EQ(g[0], 0.0F);
   EXPECT_FLOAT_EQ(g[2], 0.0F);
   EXPECT_FLOAT_EQ(g[3], 0.0F);
+}
+
+TEST(MaxPool2D, BackwardKeepsAllNaNWindowInItsChannel) {
+  // Channel 1's only window is all NaN (and channel 0's is ordinary):
+  // nothing beats -inf there, so its gradient must land on the window's
+  // own first element, not on element 0 of channel 0.
+  Pooling::Config cfg;
+  cfg.channels = 2;
+  cfg.in_height = 2;
+  cfg.in_width = 2;
+  MaxPool2D pool(cfg);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const Tensor x({2, 2, 2}, std::vector<float>{1, 4, 2, 3, nan, nan, nan, nan});
+  const Tensor y = pool.forward_train(x);
+  EXPECT_EQ(y[0], 4.0F);
+  EXPECT_EQ(y[1], -std::numeric_limits<float>::infinity());
+  const Tensor g =
+      pool.backward(Tensor({2, 1, 1}, std::vector<float>{0.0F, 5.0F}));
+  EXPECT_EQ(g[4], 5.0F);
+  for (std::size_t i : {0, 1, 2, 3, 5, 6, 7}) {
+    EXPECT_EQ(g[i], 0.0F) << "element " << i;
+  }
+}
+
+TEST(MaxPool2D, BackwardRoutesAllMinusInfWindowToItsFirstElement) {
+  Pooling::Config cfg;
+  cfg.channels = 1;
+  cfg.in_height = 4;
+  cfg.in_width = 4;
+  MaxPool2D pool(cfg);
+  Tensor x({1, 4, 4});
+  for (std::size_t i = 0; i < 16; ++i) x[i] = float(i);
+  // The bottom-right window (elements 10, 11, 14, 15) is all -inf.
+  for (std::size_t i : {10, 11, 14, 15}) {
+    x[i] = -std::numeric_limits<float>::infinity();
+  }
+  (void)pool.forward_train(x);
+  const Tensor g = pool.backward(Tensor({1, 2, 2}, 1.0F));
+  for (std::size_t i = 0; i < 16; ++i) {
+    const bool routed = i == 5 || i == 7 || i == 13 || i == 10;
+    EXPECT_EQ(g[i], routed ? 1.0F : 0.0F) << "element " << i;
+  }
 }
 
 TEST(AvgPool2D, ForwardAverages) {

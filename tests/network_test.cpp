@@ -139,6 +139,22 @@ TEST(MakeSmallConvnet, EndToEndShapes) {
   EXPECT_EQ(y.shape(), (Shape{3}));
 }
 
+TEST(Network, ForwardBatchRejectsWrongSizedInputAnywhere) {
+  Rng rng(9);
+  const Network net = tiny_net(rng);
+  for (std::size_t bad : {0U, 3U, 6U}) {
+    std::vector<Tensor> inputs;
+    for (std::size_t i = 0; i < 7; ++i) {
+      inputs.push_back(
+          Tensor::random_uniform({i == bad ? std::size_t{4} : 3}, rng));
+    }
+    EXPECT_THROW((void)net.forward_batch(inputs), std::invalid_argument)
+        << "bad input at " << bad;
+    EXPECT_THROW((void)net.forward_batch(1, inputs), std::invalid_argument)
+        << "bad input at " << bad;
+  }
+}
+
 // Inference is const and writes nothing, so threads may share one
 // Network: four threads running forward_batch concurrently must each get
 // the serial result byte for byte (this suite also runs under TSan).

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <functional>
+#include <memory>
+#include <string>
+
 #include "nn/init.hpp"
 #include "nn/loss.hpp"
 #include "nn/optimizer.hpp"
@@ -168,6 +173,176 @@ TEST(Trainer, RejectsBadInput) {
   std::vector<Tensor> t{Tensor::vector({1.0F, 0.0F})};
   EXPECT_THROW((void)train(net, opt, loss, one, t, cfg, rng),
                std::invalid_argument);
+}
+
+/// The per-sample loop train() ran before its batched kernels, kept as
+/// the oracle: one Network::forward()/backward() per sample and an
+/// optimizer step every batch_size samples and at the end of the epoch.
+std::vector<EpochStats> train_per_sample(Network& net, Optimizer& optimizer,
+                                         const Loss& loss,
+                                         const std::vector<Tensor>& inputs,
+                                         const std::vector<Tensor>& targets,
+                                         const TrainConfig& cfg, Rng& rng) {
+  std::vector<EpochStats> history;
+  for (std::size_t epoch = 0; epoch < cfg.epochs; ++epoch) {
+    const auto order = rng.permutation(inputs.size());
+    double epoch_loss = 0.0;
+    std::size_t batch_count = 0;
+    net.zero_gradients();
+    for (std::size_t pos = 0; pos < order.size(); ++pos) {
+      const std::size_t idx = order[pos];
+      const Tensor pred = net.forward(inputs[idx]);
+      LossResult lr = loss.evaluate(pred, targets[idx]);
+      epoch_loss += lr.value;
+      lr.grad *= 1.0F / static_cast<float>(cfg.batch_size);
+      (void)net.backward(lr.grad);
+      ++batch_count;
+      if (batch_count == cfg.batch_size || pos + 1 == order.size()) {
+        optimizer.step();
+        batch_count = 0;
+      }
+    }
+    EpochStats stats;
+    stats.epoch = epoch;
+    stats.mean_loss =
+        static_cast<float>(epoch_loss / double(inputs.size()));
+    history.push_back(stats);
+  }
+  return history;
+}
+
+bool same_bytes(std::span<const float> a, std::span<const float> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size_bytes()) == 0;
+}
+
+struct TrainCase {
+  std::string name;
+  std::function<Network(Rng&)> make_net;
+  bool classification;
+  bool adam;
+};
+
+class TrainerBitIdentity : public ::testing::TestWithParam<TrainCase> {};
+
+// train()'s batched kernels must leave exactly the parameters and the
+// epoch losses of the per-sample loop: 37 samples in minibatches of 16
+// end every epoch on a ragged batch of 5.
+TEST_P(TrainerBitIdentity, MatchesPerSampleLoop) {
+  const TrainCase& c = GetParam();
+  Rng data_rng(21);
+  Network probe = c.make_net(data_rng);
+  const Shape in_shape = probe.input_shape();
+  const std::size_t out_dim = shape_numel(probe.output_shape());
+  std::vector<Tensor> inputs, targets;
+  for (std::size_t i = 0; i < 37; ++i) {
+    inputs.push_back(Tensor::random_uniform(in_shape, data_rng));
+    if (c.classification) {
+      targets.push_back(Tensor({1}, float(i % out_dim)));
+    } else {
+      targets.push_back(Tensor::random_uniform({out_dim}, data_rng));
+    }
+  }
+  const auto run = [&](bool batched) {
+    Rng rng(5);
+    Network net = c.make_net(rng);
+    std::unique_ptr<Optimizer> opt;
+    if (c.adam) {
+      Adam::Config cfg;
+      cfg.learning_rate = 1e-2F;
+      opt = std::make_unique<Adam>(net.parameters(), net.gradients(), cfg);
+    } else {
+      SGD::Config cfg;
+      cfg.learning_rate = 5e-2F;
+      cfg.momentum = 0.9F;
+      opt = std::make_unique<SGD>(net.parameters(), net.gradients(), cfg);
+    }
+    const MSELoss mse;
+    const SoftmaxCrossEntropyLoss ce;
+    const Loss& loss = c.classification ? static_cast<const Loss&>(ce) : mse;
+    TrainConfig cfg;
+    cfg.epochs = 3;
+    cfg.batch_size = 16;
+    auto history =
+        batched ? train(net, *opt, loss, inputs, targets, cfg, rng)
+                : train_per_sample(net, *opt, loss, inputs, targets, cfg, rng);
+    return std::make_pair(std::move(net), std::move(history));
+  };
+  auto [batched_net, batched_history] = run(true);
+  auto [oracle_net, oracle_history] = run(false);
+
+  ASSERT_EQ(batched_history.size(), oracle_history.size());
+  for (std::size_t e = 0; e < oracle_history.size(); ++e) {
+    EXPECT_EQ(batched_history[e].epoch, oracle_history[e].epoch);
+    EXPECT_TRUE(same_bytes({&oracle_history[e].mean_loss, 1},
+                           {&batched_history[e].mean_loss, 1}))
+        << "epoch " << e << ": " << oracle_history[e].mean_loss << " vs "
+        << batched_history[e].mean_loss;
+  }
+  const auto expected = oracle_net.parameters();
+  const auto actual = batched_net.parameters();
+  ASSERT_EQ(expected.size(), actual.size());
+  for (std::size_t p = 0; p < expected.size(); ++p) {
+    EXPECT_TRUE(same_bytes(expected[p]->span(), actual[p]->span()))
+        << "parameter tensor " << p;
+  }
+}
+
+Network small_convnet(Rng& rng) {
+  return make_small_convnet(8, 8, 3, 6, 4, rng);
+}
+Network small_mlp(Rng& rng) { return make_mlp({5, 12, 7, 4}, rng); }
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, TrainerBitIdentity,
+    ::testing::Values(TrainCase{"convnet_ce_adam", small_convnet, true, true},
+                      TrainCase{"convnet_mse_sgd", small_convnet, false, false},
+                      TrainCase{"mlp_ce_sgd", small_mlp, true, false},
+                      TrainCase{"mlp_mse_adam", small_mlp, false, true}),
+    [](const ::testing::TestParamInfo<TrainCase>& param) {
+      return param.param.name;
+    });
+
+std::vector<float> all_gradients(Network& net) {
+  std::vector<float> out;
+  for (Tensor* g : net.gradients()) {
+    out.insert(out.end(), g->span().begin(), g->span().end());
+  }
+  return out;
+}
+
+TEST(Trainer, EvaluateLossMatchesPerSampleAndLeavesTrainingStateAlone) {
+  Rng rng(8);
+  Network net = make_small_convnet(8, 8, 2, 5, 3, rng);
+  std::vector<Tensor> inputs, targets;
+  for (std::size_t i = 0; i < 300; ++i) {  // more than one 256-chunk
+    inputs.push_back(Tensor::random_uniform({1, 8, 8}, rng));
+    targets.push_back(Tensor({1}, float(i % 3)));
+  }
+  const SoftmaxCrossEntropyLoss loss;
+  double acc = 0.0;
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    acc += loss.evaluate(net.forward_to(net.num_layers(), inputs[i]),
+                         targets[i])
+               .value;
+  }
+  const float expected = static_cast<float>(acc / double(inputs.size()));
+
+  // Between a training forward and its backward, evaluate_loss must not
+  // disturb the cached inputs the backward pass reads.
+  const Tensor grad = Tensor::random_uniform({3}, rng);
+  (void)net.forward(inputs[0]);
+  const float actual = evaluate_loss(net, loss, inputs, targets);
+  (void)net.backward(grad);
+  const std::vector<float> with_eval = all_gradients(net);
+  net.zero_gradients();
+  (void)net.forward(inputs[0]);
+  (void)net.backward(grad);
+  const std::vector<float> without_eval = all_gradients(net);
+
+  EXPECT_TRUE(same_bytes({&expected, 1}, {&actual, 1}))
+      << expected << " vs " << actual;
+  EXPECT_TRUE(same_bytes(with_eval, without_eval));
 }
 
 }  // namespace
