@@ -7,7 +7,10 @@
 // monitor size, and batched query latency for standard and robust
 // interval monitors — plus, for every robust build, a post-optimize row
 // (`ranm_cli optimize`: workload-guided sifting) so the node-count and
-// query-latency wins of reordering are tracked per-PR. Prints a table and
+// query-latency wins of reordering are tracked per-PR. The arena column
+// counts every node the BDD manager allocated, dead ones included; like
+// the live count it is deterministic, so CI fails on any engine change
+// that creates nodes the previous engine did not. Prints a table and
 // writes machine-readable JSON (BENCH_scalability.json, or the path given
 // as argv[1]). RANM_SMOKE=1 shrinks the sweep for CI smoke runs.
 #include <algorithm>
@@ -39,6 +42,7 @@ struct Measurement {
   double us_per_sample = 0.0;
   double patterns = 0.0;
   std::size_t bdd_nodes = 0;
+  std::size_t arena_nodes = 0;  // every node the manager ever allocated
   double query_ns = 0.0;  // batched contains ns/sample
 };
 
@@ -77,6 +81,7 @@ void write_json(const std::string& path, bool smoke,
         << ", \"us_per_sample\": " << m.us_per_sample
         << ", \"patterns\": " << m.patterns
         << ", \"bdd_nodes\": " << m.bdd_nodes
+        << ", \"arena_nodes\": " << m.arena_nodes
         << ", \"query_ns_per_sample\": " << m.query_ns << "}";
     rows.push_back(row.str());
   }
@@ -124,13 +129,14 @@ int run(int argc, char** argv) {
   TextTable table("E12: construction cost vs training-set size "
                   "(interval 2-bit, MLP 12-48-32-8, monitor layer 4)");
   table.set_header({"|Dtr|", "mode", "build ms", "us/sample", "patterns",
-                    "bdd nodes", "query ns"});
+                    "bdd nodes", "arena nodes", "query ns"});
   const auto add_row = [&table](const Measurement& r) {
     table.add_row({std::to_string(r.train_size), r.mode,
                    TextTable::num(r.build_ms, 1),
                    TextTable::num(r.us_per_sample, 1),
                    TextTable::num(r.patterns, 0),
                    std::to_string(r.bdd_nodes),
+                   std::to_string(r.arena_nodes),
                    TextTable::num(r.query_ns, 1)});
   };
 
@@ -153,6 +159,7 @@ int run(int argc, char** argv) {
       r.us_per_sample = r.build_ms * 1000.0 / double(n);
       r.patterns = m.pattern_count();
       r.bdd_nodes = m.bdd_node_count();
+      r.arena_nodes = m.manager().arena_size();
       r.query_ns = query_ns_per_sample(m, query_batch, query_reps);
       results.push_back(r);
       add_row(r);
@@ -172,6 +179,7 @@ int run(int argc, char** argv) {
       o.us_per_sample = o.build_ms * 1000.0 / double(n);
       o.patterns = m.pattern_count();
       o.bdd_nodes = m.bdd_node_count();
+      o.arena_nodes = m.manager().arena_size();
       o.query_ns = query_ns_per_sample(m, query_batch, query_reps);
       results.push_back(o);
       add_row(o);

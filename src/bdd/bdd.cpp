@@ -5,8 +5,37 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <unordered_map>
 
 namespace ranm::bdd {
+namespace {
+
+constexpr std::size_t kMinUniqueSlots = std::size_t{1} << 10;
+constexpr std::size_t kMinIteEntries = std::size_t{1} << 10;
+
+/// Murmur3's 64-bit finaliser: a bijection that spreads every input bit
+/// over the low bits the power-of-two tables index with.
+std::uint64_t mix64(std::uint64_t x) noexcept {
+  x ^= x >> 33;
+  x *= 0xFF51AFD7ED558CCDULL;
+  x ^= x >> 33;
+  x *= 0xC4CEB9FE1A85EC53ULL;
+  x ^= x >> 33;
+  return x;
+}
+
+std::size_t triple_hash(std::uint32_t a, std::uint32_t b,
+                        std::uint32_t c) noexcept {
+  return static_cast<std::size_t>(
+      mix64(((std::uint64_t{a} << 32) | b) ^
+            (std::uint64_t{c} * 0x9E3779B97F4A7C15ULL)));
+}
+
+std::size_t node_hash(std::uint32_t v, NodeRef lo, NodeRef hi) noexcept {
+  return triple_hash(lo, hi, v);
+}
+
+}  // namespace
 
 BddManager::BddManager(std::uint32_t num_vars) : num_vars_(num_vars) {
   nodes_.push_back({kTerminalVar, kFalse, kFalse});  // node 0 = FALSE
@@ -15,13 +44,33 @@ BddManager::BddManager(std::uint32_t num_vars) : num_vars_(num_vars) {
 
 NodeRef BddManager::make_node(std::uint32_t v, NodeRef lo, NodeRef hi) {
   if (lo == hi) return lo;  // reduction rule
-  const UniqueKey key{v, lo, hi};
-  auto it = unique_.find(key);
-  if (it != unique_.end()) return it->second;
-  const NodeRef ref = static_cast<NodeRef>(nodes_.size());
-  nodes_.push_back({v, lo, hi});
-  unique_.emplace(key, ref);
-  return ref;
+  // Keep the load at or below 1/2, counting the node this call may add.
+  if (2 * (nodes_.size() - 1) > unique_.size()) {
+    rehash_unique(std::max(kMinUniqueSlots, 2 * unique_.size()));
+  }
+  const std::size_t mask = unique_.size() - 1;
+  for (std::size_t i = node_hash(v, lo, hi) & mask;; i = (i + 1) & mask) {
+    const NodeRef r = unique_[i];
+    if (r == kFalse) {
+      const auto ref = static_cast<NodeRef>(nodes_.size());
+      nodes_.push_back({v, lo, hi});
+      unique_[i] = ref;
+      return ref;
+    }
+    const Node& n = nodes_[r];
+    if (n.var == v && n.lo == lo && n.hi == hi) return r;
+  }
+}
+
+void BddManager::rehash_unique(std::size_t slots) {
+  unique_.assign(slots, kFalse);
+  const std::size_t mask = slots - 1;
+  for (NodeRef r = 2; r < nodes_.size(); ++r) {
+    const Node& n = nodes_[r];
+    std::size_t i = node_hash(n.var, n.lo, n.hi) & mask;
+    while (unique_[i] != kFalse) i = (i + 1) & mask;
+    unique_[i] = r;
+  }
 }
 
 NodeRef BddManager::make_node_checked(std::uint32_t v, NodeRef lo,
@@ -65,9 +114,12 @@ NodeRef BddManager::ite(NodeRef f, NodeRef g, NodeRef h) {
   if (g == h) return g;
   if (g == kTrue && h == kFalse) return f;
 
-  const IteKey key{f, g, h};
-  auto it = ite_cache_.find(key);
-  if (it != ite_cache_.end()) return it->second;
+  if (ite_cache_.empty()) ite_cache_.resize(kMinIteEntries);
+  const std::size_t hash = triple_hash(f, g, h);
+  if (const IteEntry& e = ite_cache_[hash & (ite_cache_.size() - 1)];
+      e.f == f && e.g == g && e.h == h) {
+    return e.result;
+  }
 
   const std::uint32_t top =
       std::min({level(f), level(g), level(h)});
@@ -78,7 +130,14 @@ NodeRef BddManager::ite(NodeRef f, NodeRef g, NodeRef h) {
   const NodeRef hi = ite(cof(f, true), cof(g, true), cof(h, true));
   const NodeRef lo = ite(cof(f, false), cof(g, false), cof(h, false));
   const NodeRef result = make_node(top, lo, hi);
-  ite_cache_.emplace(key, result);
+  // The recursion may have resized the cache: index it afresh.
+  if (ite_stores_ >= ite_cache_.size() &&
+      2 * ite_cache_.size() <= nodes_.size()) {
+    ite_cache_.assign(2 * ite_cache_.size(), IteEntry{});
+    ite_stores_ = 0;
+  }
+  ite_cache_[hash & (ite_cache_.size() - 1)] = {f, g, h, result};
+  ++ite_stores_;
   return result;
 }
 

@@ -8,15 +8,26 @@
 // 0..num_vars-1 ordered by index (smaller index nearer the root). Nodes are
 // hash-consed through a unique table, so structural equality is pointer
 // equality — two BDDs are the same function iff they are the same NodeRef.
-// Nodes are never garbage collected; monitor workloads allocate a few
-// hundred thousand nodes at most.
+// Nodes are never garbage collected. Monitor workloads range from a few
+// thousand nodes to millions: the robust 1024-sample build of
+// bench_scalability allocates a 3,043,338-node arena.
+//
+// Memory per node, after Brace, Rudell & Bryant (DAC 1990): 12 bytes of
+// arena, 8-16 bytes of open-addressing unique table (4-byte slots, load
+// kept at or below 1/2), and at most 16 bytes of computed (ite) cache.
+// The cache is a direct-mapped, lossy table of 1024 entries allocated on
+// the first ite. It doubles, dropping its contents, once the stores since
+// its last resize reach its size, and it never grows past the arena size,
+// so it follows use: managers that are only loaded or queried never
+// allocate it. A lost entry only makes ite recompute a result whose nodes
+// all exist already, so every operation returns the same NodeRef and
+// creates new nodes in the same order as an exact cache would.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace ranm::bdd {
@@ -47,6 +58,11 @@ class BddManager {
   /// Total nodes allocated in the arena (including the two terminals).
   [[nodiscard]] std::size_t arena_size() const noexcept {
     return nodes_.size();
+  }
+  /// Entries in the ite computed table: 0 until the first ite, then 1024,
+  /// doubling with use while the doubled size stays within arena_size().
+  [[nodiscard]] std::size_t ite_cache_size() const noexcept {
+    return ite_cache_.size();
   }
 
   // -- leaf / variable constructors --------------------------------------
@@ -226,18 +242,13 @@ class BddManager {
     NodeRef hi;
   };
   static constexpr std::uint32_t kTerminalVar = 0xFFFFFFFFU;
-
-  struct TripleHash {
-    std::size_t operator()(const std::uint64_t& k) const noexcept {
-      std::uint64_t x = k;
-      x ^= x >> 33;
-      x *= 0xFF51AFD7ED558CCDULL;
-      x ^= x >> 33;
-      return static_cast<std::size_t>(x);
-    }
+  struct IteEntry {
+    NodeRef f, g, h, result;
   };
 
   [[nodiscard]] NodeRef make_node(std::uint32_t v, NodeRef lo, NodeRef hi);
+  /// Rebuilds the unique table at `slots` (a power of two) from the arena.
+  void rehash_unique(std::size_t slots);
   [[nodiscard]] std::uint32_t level(NodeRef n) const noexcept {
     return nodes_[n].var;
   }
@@ -293,41 +304,18 @@ class BddManager {
 
   std::uint32_t num_vars_;
   std::vector<Node> nodes_;
-  // unique table: (var, lo, hi) -> node. Keys are packed pairs of 64-bit
-  // values; we use a map from a 128-bit mix reduced to 64 bits with the
-  // full triple stored in the node for verification-free hash consing via
-  // open addressing on exact triples.
-  struct UniqueKey {
-    std::uint32_t var;
-    NodeRef lo, hi;
-    bool operator==(const UniqueKey&) const = default;
-  };
-  struct UniqueKeyHash {
-    std::size_t operator()(const UniqueKey& k) const noexcept {
-      std::uint64_t x = (std::uint64_t(k.var) << 40) ^
-                        (std::uint64_t(k.lo) << 20) ^ std::uint64_t(k.hi);
-      x ^= x >> 33;
-      x *= 0xC2B2AE3D27D4EB4FULL;
-      x ^= x >> 29;
-      return static_cast<std::size_t>(x);
-    }
-  };
-  struct IteKey {
-    NodeRef f, g, h;
-    bool operator==(const IteKey&) const = default;
-  };
-  struct IteKeyHash {
-    std::size_t operator()(const IteKey& k) const noexcept {
-      std::uint64_t x = (std::uint64_t(k.f) << 42) ^
-                        (std::uint64_t(k.g) << 21) ^ std::uint64_t(k.h);
-      x ^= x >> 33;
-      x *= 0xFF51AFD7ED558CCDULL;
-      x ^= x >> 33;
-      return static_cast<std::size_t>(x);
-    }
-  };
-  std::unordered_map<UniqueKey, NodeRef, UniqueKeyHash> unique_;
-  std::unordered_map<IteKey, NodeRef, IteKeyHash> ite_cache_;
+  // Unique table: open addressing with linear probing over NodeRefs into
+  // nodes_. Slot value 0 (kFalse) means empty; terminals are never stored.
+  // The size is a power of two (0 until the first make_node) and at least
+  // twice the number of stored nodes; growth doubles it and rehashes from
+  // the arena.
+  std::vector<NodeRef> unique_;
+  // Computed table for ite: direct-mapped and lossy, keyed on the full
+  // (f, g, h). An all-zero entry never matches, since ite stores no entry
+  // whose f is a terminal. Empty until the first ite; see the file comment
+  // for the growth rule.
+  std::vector<IteEntry> ite_cache_;
+  std::size_t ite_stores_ = 0;  // stores since the cache's last resize
 
   // Profile state. hits_ptr_ is null whenever profiling is off; the eval
   // templates test only this pointer, keeping the disabled path identical

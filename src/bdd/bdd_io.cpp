@@ -2,13 +2,13 @@
 
 #include <cstring>
 #include <stdexcept>
-#include <unordered_map>
 #include <vector>
 
 namespace ranm::bdd {
 namespace {
 
 constexpr std::uint32_t kMagic = 0x42444431U;  // "BDD1"
+constexpr std::uint32_t kUnvisited = 0xFFFFFFFFU;
 
 template <typename T>
 void write_pod(std::ostream& out, const T& v) {
@@ -23,16 +23,16 @@ T read_pod(std::istream& in) {
   return v;
 }
 
+/// index[n] is n's local slot, kUnvisited until n is emitted; it is
+/// indexed by arena position.
 void collect_post_order(const BddManager& mgr, NodeRef f,
                         std::vector<NodeRef>& order,
-                        std::unordered_map<NodeRef, std::uint32_t>& index) {
-  if (index.contains(f)) return;
-  if (f != kFalse && f != kTrue) {
-    const auto nv = mgr.view(f);
-    collect_post_order(mgr, nv.lo, order, index);
-    collect_post_order(mgr, nv.hi, order, index);
-  }
-  index.emplace(f, static_cast<std::uint32_t>(order.size()));
+                        std::vector<std::uint32_t>& index) {
+  if (index[f] != kUnvisited) return;
+  const auto nv = mgr.view(f);
+  collect_post_order(mgr, nv.lo, order, index);
+  collect_post_order(mgr, nv.hi, order, index);
+  index[f] = static_cast<std::uint32_t>(order.size());
   order.push_back(f);
 }
 
@@ -40,11 +40,12 @@ void collect_post_order(const BddManager& mgr, NodeRef f,
 
 std::vector<NodeRef> save_bdd(std::ostream& out, const BddManager& mgr,
                               NodeRef f) {
+  if (f >= mgr.arena_size()) throw std::out_of_range("save_bdd: bad root");
   std::vector<NodeRef> order;
-  std::unordered_map<NodeRef, std::uint32_t> index;
+  std::vector<std::uint32_t> index(mgr.arena_size(), kUnvisited);
   // Terminals always occupy local slots 0 and 1.
-  index.emplace(kFalse, 0);
-  index.emplace(kTrue, 1);
+  index[kFalse] = 0;
+  index[kTrue] = 1;
   order.push_back(kFalse);
   order.push_back(kTrue);
   collect_post_order(mgr, f, order, index);
@@ -55,10 +56,10 @@ std::vector<NodeRef> save_bdd(std::ostream& out, const BddManager& mgr,
   for (std::size_t i = 2; i < order.size(); ++i) {
     const auto nv = mgr.view(order[i]);
     write_pod(out, nv.var);
-    write_pod(out, index.at(nv.lo));
-    write_pod(out, index.at(nv.hi));
+    write_pod(out, index[nv.lo]);
+    write_pod(out, index[nv.hi]);
   }
-  write_pod(out, index.at(f));
+  write_pod(out, index[f]);
   return order;
 }
 
@@ -80,8 +81,8 @@ LoadedBdd load_bdd_nodes(std::istream& in, BddManager& mgr) {
   // A corrupted count would make the vector below zero-fill memory before
   // the per-node reads could detect truncation; bound it first. 2^24 is
   // an order of magnitude above the largest benchmarked artifact (~1.5M
-  // nodes for the robust 1024-neuron monitor) while keeping the worst
-  // hostile up-front allocation at 64 MB.
+  // nodes for bench_scalability's robust 1024-sample monitor) while
+  // keeping the worst hostile up-front allocation at 64 MB.
   if (count > (1U << 24)) {
     throw std::runtime_error("load_bdd: implausible node count");
   }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "bdd/bdd.hpp"
 #include "core/box_cluster_monitor.hpp"
@@ -130,26 +129,30 @@ BddProgram flatten_bdd(const bdd::BddManager& mgr, bdd::NodeRef root,
   }
   std::vector<bdd::NodeRef> reach;
   std::vector<bdd::NodeRef> pending{root};
-  std::unordered_map<bdd::NodeRef, std::uint32_t> remap;
+  // Arena-indexed: 0 marks unvisited (no reachable node flattens to 0).
+  std::vector<std::uint32_t> remap(mgr.arena_size(), 0);
   while (!pending.empty()) {
     const bdd::NodeRef r = pending.back();
     pending.pop_back();
-    if (remap.contains(r)) continue;
-    remap.emplace(r, 0);  // placeholder; final refs assigned after sorting
+    if (remap.at(r) != 0) continue;
+    remap[r] = 1;  // placeholder; final refs assigned after sorting
     reach.push_back(r);
     const bdd::BddManager::NodeView nv = mgr.view(r);
     if (nv.lo >= 2) pending.push_back(nv.lo);
     if (nv.hi >= 2) pending.push_back(nv.hi);
   }
-  std::stable_sort(reach.begin(), reach.end(),
-                   [&mgr](bdd::NodeRef a, bdd::NodeRef b) {
-                     return mgr.view(a).var < mgr.view(b).var;
-                   });
+  // Stable counting sort by level: within a level, discovery order.
+  std::vector<std::size_t> next(mgr.num_vars() + 1, 0);
+  for (const bdd::NodeRef r : reach) ++next[mgr.view(r).var + 1];
+  for (std::size_t v = 1; v < next.size(); ++v) next[v] += next[v - 1];
+  std::vector<bdd::NodeRef> by_level(reach.size());
+  for (const bdd::NodeRef r : reach) by_level[next[mgr.view(r).var]++] = r;
+  reach = std::move(by_level);
   for (std::size_t i = 0; i < reach.size(); ++i) {
     remap[reach[i]] = static_cast<std::uint32_t>(i + 2);
   }
   const auto flat_ref = [&remap](bdd::NodeRef r) {
-    return r < 2 ? static_cast<std::uint32_t>(r) : remap.at(r);
+    return r < 2 ? static_cast<std::uint32_t>(r) : remap[r];
   };
   p.nodes.resize(reach.size());
   for (std::size_t i = 0; i < reach.size(); ++i) {

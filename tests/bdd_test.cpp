@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <functional>
+#include <map>
+#include <utility>
 
+#include "core/interval_monitor.hpp"
+#include "core/monitor_builder.hpp"
+#include "nn/init.hpp"
 #include "util/rng.hpp"
 
 namespace ranm::bdd {
@@ -365,6 +371,179 @@ TEST(Bdd, ArenaGrowsMonotonically) {
   const std::size_t before = mgr.arena_size();
   (void)mgr.var(3);
   EXPECT_GE(mgr.arena_size(), before + 1);
+}
+
+// -- engine: unique table and computed cache ------------------------------
+
+/// A random cube over `n` variables, about a third of its bits free.
+std::vector<CubeBit> random_cube(Rng& rng, std::uint32_t n) {
+  std::vector<CubeBit> bits(n);
+  for (CubeBit& b : bits) b = static_cast<CubeBit>(rng.below(3));
+  return bits;
+}
+
+// The unique table doubles nine times on the way to 200k nodes; every
+// rehash must keep hash-consing exact.
+TEST(BddEngine, CanonicalAcrossTableDoublings) {
+  constexpr std::uint32_t kVars = 40;
+  BddManager mgr(kVars);
+  Rng rng(11);
+  std::vector<std::vector<CubeBit>> cubes;
+  std::vector<NodeRef> roots;
+  NodeRef set = kFalse;
+  while (mgr.arena_size() < 200000) {
+    cubes.push_back(random_cube(rng, kVars));
+    set = mgr.or_(set, mgr.cube(cubes.back()));
+    roots.push_back(set);
+  }
+  const std::size_t arena = mgr.arena_size();
+
+  // Rebuilding every prefix union finds the nodes already there.
+  NodeRef again = kFalse;
+  for (std::size_t i = 0; i < cubes.size(); ++i) {
+    again = mgr.or_(again, mgr.cube(cubes[i]));
+    ASSERT_EQ(again, roots[i]) << "cube " << i;
+  }
+  EXPECT_EQ(mgr.arena_size(), arena);
+
+  // Every stored triple hash-conses to itself.
+  for (NodeRef n = 2; n < arena; ++n) {
+    const BddManager::NodeView nv = mgr.view(n);
+    ASSERT_EQ(mgr.make_node_checked(nv.var, nv.lo, nv.hi), n);
+  }
+  EXPECT_EQ(mgr.arena_size(), arena);
+}
+
+// Random ite/and/or/xor over 12 variables against truth tables, with
+// enough operations that the lossy cache doubles several times and evicts
+// throughout. Equal truth tables must also give equal NodeRefs.
+TEST(BddEngine, RandomFormulasMatchTruthTables) {
+  constexpr std::uint32_t kVars = 12;
+  constexpr std::size_t kWords = (std::size_t{1} << kVars) / 64;
+  using Table = std::array<std::uint64_t, kWords>;  // bit a: value at a
+  const auto combine = [](const Table& x, const Table& y, auto op) {
+    Table t;
+    for (std::size_t w = 0; w < kWords; ++w) t[w] = op(x[w], y[w]);
+    return t;
+  };
+  BddManager mgr(kVars);
+  Rng rng(2024);
+
+  std::vector<std::pair<NodeRef, Table>> pool;
+  for (std::uint32_t v = 0; v < kVars; ++v) {
+    Table t{};
+    for (std::size_t a = 0; a < kWords * 64; ++a) {
+      if (((a >> v) & 1U) != 0) t[a / 64] |= std::uint64_t{1} << (a % 64);
+    }
+    pool.emplace_back(mgr.var(v), t);
+    pool.emplace_back(mgr.nvar(v), combine(t, t, [](auto x, auto) {
+                        return ~x;
+                      }));
+  }
+  std::map<Table, NodeRef> canonical;
+  for (const auto& [f, t] : pool) canonical.emplace(t, f);
+
+  for (int step = 0; step < 800; ++step) {
+    const auto& [f, tf] = pool[rng.below(pool.size())];
+    const auto& [g, tg] = pool[rng.below(pool.size())];
+    const auto& [h, th] = pool[rng.below(pool.size())];
+    NodeRef r = kFalse;
+    Table t;
+    switch (rng.below(4)) {
+      case 0:
+        r = mgr.ite(f, g, h);
+        t = combine(combine(tf, tg, std::bit_and<>{}),
+                    combine(tf, th, [](auto x, auto y) { return ~x & y; }),
+                    std::bit_or<>{});
+        break;
+      case 1:
+        r = mgr.and_(f, g);
+        t = combine(tf, tg, std::bit_and<>{});
+        break;
+      case 2:
+        r = mgr.or_(f, g);
+        t = combine(tf, tg, std::bit_or<>{});
+        break;
+      default:
+        r = mgr.xor_(f, g);
+        t = combine(tf, tg, std::bit_xor<>{});
+        break;
+    }
+    for (std::size_t a = 0; a < kWords * 64; ++a) {
+      const bool want = ((t[a / 64] >> (a % 64)) & 1U) != 0;
+      const bool got = mgr.eval_with(
+          r, [a](std::uint32_t v) { return ((a >> v) & 1U) != 0; });
+      ASSERT_EQ(got, want) << "step " << step << " point " << a;
+    }
+    const auto [it, fresh] = canonical.emplace(t, r);
+    ASSERT_EQ(it->second, r) << "step " << step;
+    // A bounded pool keeps the functions mixing instead of piling up.
+    if (pool.size() < 96) {
+      pool.emplace_back(r, t);
+    } else {
+      pool[rng.below(pool.size())] = {r, t};
+    }
+  }
+  EXPECT_GE(mgr.ite_cache_size(), std::size_t{8} << 10);  // >= 3 doublings
+}
+
+/// A fixed sequence of unions and intersections; returns every result.
+std::vector<NodeRef> run_ops(BddManager& mgr, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<NodeRef> out;
+  NodeRef acc = kFalse;
+  for (int i = 0; i < 400; ++i) {
+    const NodeRef c = mgr.cube(random_cube(rng, mgr.num_vars()));
+    acc = rng.chance(0.8) ? mgr.or_(acc, c) : mgr.xor_(acc, c);
+    out.push_back(acc);
+  }
+  return out;
+}
+
+TEST(BddEngine, CopiedAndMovedManagersAgree) {
+  constexpr std::uint32_t kVars = 24;
+  BddManager original(kVars);
+  (void)run_ops(original, 1);
+
+  BddManager copy = original;
+  BddManager source = original;
+  BddManager moved(1);
+  moved = std::move(source);
+  ASSERT_EQ(copy.arena_size(), original.arena_size());
+  ASSERT_EQ(moved.arena_size(), original.arena_size());
+
+  const std::vector<NodeRef> want = run_ops(original, 2);
+  EXPECT_EQ(run_ops(copy, 2), want);
+  EXPECT_EQ(run_ops(moved, 2), want);
+  EXPECT_EQ(copy.arena_size(), original.arena_size());
+  EXPECT_EQ(moved.arena_size(), original.arena_size());
+
+  // The moved-from manager is usable once a fresh one is assigned.
+  source = BddManager(kVars);
+  BddManager fresh(kVars);
+  EXPECT_EQ(run_ops(source, 3), run_ops(fresh, 3));
+  EXPECT_EQ(source.arena_size(), fresh.arena_size());
+}
+
+// Pins the BDD that bench_scalability's robust n = 256 row builds (its
+// MLP, seed, thresholds and delta). Any cache or table change that alters
+// which nodes exist moves these numbers.
+TEST(BddEngine, ScalabilityRobustBuildPin) {
+  Rng rng(321);
+  Network net = make_mlp({12, 48, 32, 8}, rng);
+  MonitorBuilder builder(net, 4);
+  std::vector<Tensor> pool;
+  for (int i = 0; i < 512; ++i) {
+    pool.push_back(Tensor::random_uniform({12}, rng));
+  }
+  NeuronStats stats(builder.feature_dim(), true);
+  for (const Tensor& x : pool) stats.add(builder.features(x));
+  const std::vector<Tensor> data(pool.begin(), pool.begin() + 256);
+
+  IntervalMonitor m(ThresholdSpec::from_percentiles(stats, 2));
+  builder.build_robust(m, data, PerturbationSpec{0, 0.02F, BoundDomain::kBox});
+  EXPECT_EQ(m.bdd_node_count(), 64954U);
+  EXPECT_EQ(m.manager().arena_size(), 124890U);
 }
 
 }  // namespace
