@@ -2,10 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
-#include <functional>
 #include <memory>
 #include <string>
+#include <type_traits>
 
 #include "nn/init.hpp"
 #include "nn/loss.hpp"
@@ -216,12 +217,27 @@ bool same_bytes(std::span<const float> a, std::span<const float> b) {
          std::memcmp(a.data(), b.data(), a.size_bytes()) == 0;
 }
 
+enum class CaseNet : std::uint32_t { kConvnet, kMlp };
+
+Network make_case_net(CaseNet kind, Rng& rng) {
+  return kind == CaseNet::kConvnet ? make_small_convnet(8, 8, 3, 6, 4, rng)
+                                   : make_mlp({5, 12, 7, 4}, rng);
+}
+
+// gtest names each case by a byte dump of this struct, so every byte must be
+// defined and none may be an address (a pointer made the names vary from
+// process to process). `name_tag` keeps the leading bytes these cases have
+// always been listed under.
 struct TrainCase {
-  std::string name;
-  std::function<Network(Rng&)> make_net;
+  std::uint32_t name_tag;
+  CaseNet net;
+  char name[62];
   bool classification;
   bool adam;
 };
+static_assert(sizeof(TrainCase) == 72 &&
+                  std::has_unique_object_representations_v<TrainCase>,
+              "TrainCase must have no padding");
 
 class TrainerBitIdentity : public ::testing::TestWithParam<TrainCase> {};
 
@@ -231,7 +247,7 @@ class TrainerBitIdentity : public ::testing::TestWithParam<TrainCase> {};
 TEST_P(TrainerBitIdentity, MatchesPerSampleLoop) {
   const TrainCase& c = GetParam();
   Rng data_rng(21);
-  Network probe = c.make_net(data_rng);
+  Network probe = make_case_net(c.net, data_rng);
   const Shape in_shape = probe.input_shape();
   const std::size_t out_dim = shape_numel(probe.output_shape());
   std::vector<Tensor> inputs, targets;
@@ -245,7 +261,7 @@ TEST_P(TrainerBitIdentity, MatchesPerSampleLoop) {
   }
   const auto run = [&](bool batched) {
     Rng rng(5);
-    Network net = c.make_net(rng);
+    Network net = make_case_net(c.net, rng);
     std::unique_ptr<Optimizer> opt;
     if (c.adam) {
       Adam::Config cfg;
@@ -288,19 +304,20 @@ TEST_P(TrainerBitIdentity, MatchesPerSampleLoop) {
   }
 }
 
-Network small_convnet(Rng& rng) {
-  return make_small_convnet(8, 8, 3, 6, 4, rng);
-}
-Network small_mlp(Rng& rng) { return make_mlp({5, 12, 7, 4}, rng); }
+constexpr std::uint32_t kTrainNameTag = 0xA3CC3AD0U;
 
 INSTANTIATE_TEST_SUITE_P(
     Cases, TrainerBitIdentity,
-    ::testing::Values(TrainCase{"convnet_ce_adam", small_convnet, true, true},
-                      TrainCase{"convnet_mse_sgd", small_convnet, false, false},
-                      TrainCase{"mlp_ce_sgd", small_mlp, true, false},
-                      TrainCase{"mlp_mse_adam", small_mlp, false, true}),
+    ::testing::Values(TrainCase{kTrainNameTag, CaseNet::kConvnet,
+                                "convnet_ce_adam", true, true},
+                      TrainCase{kTrainNameTag, CaseNet::kConvnet,
+                                "convnet_mse_sgd", false, false},
+                      TrainCase{kTrainNameTag, CaseNet::kMlp, "mlp_ce_sgd",
+                                true, false},
+                      TrainCase{kTrainNameTag, CaseNet::kMlp, "mlp_mse_adam",
+                                false, true}),
     [](const ::testing::TestParamInfo<TrainCase>& param) {
-      return param.param.name;
+      return std::string(param.param.name);
     });
 
 std::vector<float> all_gradients(Network& net) {
