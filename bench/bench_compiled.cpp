@@ -1,11 +1,15 @@
 // Compiled vs interpreted query throughput. `ranm_cli compile` exists to
-// buy deployment headroom: the interpreted BDD families chase hash-consed
-// arena nodes per query, while the compiled form runs either a bitmask
-// cube cover (a few u64 compares per sample) or a flat topologically
-// ordered node array with branchless child indexing. This bench pins the
-// claim down: every family, flat and 4-shard, batch sizes 1..256, with
-// the interpreted monitor as the baseline in each row. The acceptance
-// bar tracked per-PR is the BDD-family speedup at batch 256.
+// buy deployment headroom: the interpreted BDD families code every query
+// into a byte matrix and walk hash-consed arena nodes, while the compiled
+// form runs either a bitmask cube cover (a few u64 compares per sample) or
+// a flat topologically ordered node array, walked over packed codewords
+// by the same batched BDD walk (bdd/walk.hpp). This bench pins the claim
+// down: every family, flat and 4-shard, batch sizes 1..256, with the
+// interpreted monitor as the baseline in each row. The toy families share
+// one 64-dimension, 24-sample fixture; `mlp_robust` is the serving MLP's
+// robust interval monitor (16 -> 64 -> 32 -> 8, 32 monitored neurons,
+// 256 training inputs, Δ = 0.015, about 63k nodes), the size of a served
+// artifact.
 //
 // Results print as a table and land in BENCH_compiled.json (or argv[1]);
 // RANM_SMOKE=1 shrinks repetitions for CI smoke runs.
@@ -22,10 +26,13 @@
 #include "core/box_cluster_monitor.hpp"
 #include "core/interval_monitor.hpp"
 #include "core/minmax_monitor.hpp"
+#include "core/monitor_builder.hpp"
 #include "core/neuron_stats.hpp"
 #include "core/onoff_monitor.hpp"
 #include "core/optimize.hpp"
+#include "core/perturbation_estimator.hpp"
 #include "core/sharded_monitor.hpp"
+#include "nn/init.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
@@ -35,6 +42,10 @@ namespace {
 
 constexpr std::size_t kDim = 64;
 constexpr std::size_t kObservations = 24;
+// The serving MLP's monitor (layer 4, the ReLU after the second Dense).
+constexpr std::size_t kMlpLayer = 4;
+constexpr std::size_t kMlpTrainInputs = 256;
+constexpr float kMlpDelta = 0.015F;
 
 std::size_t g_sink = 0;
 
@@ -113,11 +124,11 @@ double time_per_sample(std::size_t reps, std::size_t samples_per_rep,
 Measurement bench_pair(const std::string& name, const Monitor& interpreted,
                        const compile::CompiledMonitor& compiled,
                        std::size_t shards, std::size_t threads,
-                       const Fixture& f, std::size_t batch_size,
-                       std::size_t reps) {
-  FeatureBatch batch(kDim, batch_size);
+                       const std::vector<std::vector<float>>& queries,
+                       std::size_t batch_size, std::size_t reps) {
+  FeatureBatch batch(interpreted.dimension(), batch_size);
   for (std::size_t i = 0; i < batch_size; ++i) {
-    batch.set_sample(i, f.features[i % f.features.size()]);
+    batch.set_sample(i, queries[i % queries.size()]);
   }
   auto out = std::make_unique<bool[]>(batch_size);
   const std::span<bool> out_span(out.get(), batch_size);
@@ -147,7 +158,8 @@ Measurement bench_pair(const std::string& name, const Monitor& interpreted,
 /// return fully built (folded, finalized) monitors; a null sharded maker
 /// result skips the sharded rows (box-cluster has no sharded form).
 template <typename MakeFlat, typename MakeSharded>
-void bench_family(const std::string& name, const Fixture& f,
+void bench_family(const std::string& name,
+                  const std::vector<std::vector<float>>& queries,
                   std::span<const std::size_t> batch_sizes,
                   std::size_t base_reps, std::vector<Measurement>& results,
                   MakeFlat&& make_flat, MakeSharded&& make_sharded) {
@@ -171,10 +183,10 @@ void bench_family(const std::string& name, const Fixture& f,
     // Constant samples-per-measurement across batch sizes.
     const std::size_t reps = base_reps * (256 / b);
     results.push_back(
-        bench_pair(name, *flat, compiled_flat, 0, 1, f, b, reps));
+        bench_pair(name, *flat, compiled_flat, 0, 1, queries, b, reps));
     if (sharded != nullptr) {
       results.push_back(bench_pair(name, *sharded, compiled_sharded,
-                                   kShards, kShards, f, b, reps));
+                                   kShards, kShards, queries, b, reps));
     }
   }
 }
@@ -224,7 +236,7 @@ int run(int argc, char** argv) {
   std::vector<Measurement> results;
 
   bench_family(
-      "minmax", f, batch_sizes, base_reps, results,
+      "minmax", f.features, batch_sizes, base_reps, results,
       [&f] {
         auto monitor = std::make_unique<MinMaxMonitor>(kDim);
         f.fold(*monitor, false);
@@ -237,7 +249,7 @@ int run(int argc, char** argv) {
         return monitor;
       });
   bench_family(
-      "box_cluster", f, batch_sizes, base_reps, results,
+      "box_cluster", f.features, batch_sizes, base_reps, results,
       [&f] {
         auto monitor = std::make_unique<BoxClusterMonitor>(kDim, 8);
         f.fold(*monitor, false);
@@ -247,7 +259,7 @@ int run(int argc, char** argv) {
       },
       [](std::size_t) { return std::unique_ptr<ShardedMonitor>(); });
   bench_family(
-      "onoff", f, batch_sizes, base_reps, results,
+      "onoff", f.features, batch_sizes, base_reps, results,
       [&] {
         auto monitor = std::make_unique<OnOffMonitor>(means);
         f.fold(*monitor, false);
@@ -260,7 +272,7 @@ int run(int argc, char** argv) {
         return monitor;
       });
   bench_family(
-      "interval", f, batch_sizes, base_reps, results,
+      "interval", f.features, batch_sizes, base_reps, results,
       [&] {
         auto monitor = std::make_unique<IntervalMonitor>(pct2);
         f.fold(*monitor, false);
@@ -274,7 +286,7 @@ int run(int argc, char** argv) {
       });
   // Robust interval: don't-care-rich sets, the cube-cover sweet spot.
   bench_family(
-      "interval_robust", f, batch_sizes, base_reps, results,
+      "interval_robust", f.features, batch_sizes, base_reps, results,
       [&] {
         auto monitor = std::make_unique<IntervalMonitor>(pct2);
         f.fold(*monitor, true);
@@ -298,7 +310,7 @@ int run(int argc, char** argv) {
     (void)optimize_monitor(monitor, options);
   };
   bench_family(
-      "interval_robust_opt", f, batch_sizes, base_reps, results,
+      "interval_robust_opt", f.features, batch_sizes, base_reps, results,
       [&] {
         auto monitor = std::make_unique<IntervalMonitor>(pct2);
         f.fold(*monitor, true);
@@ -310,6 +322,42 @@ int run(int argc, char** argv) {
             ShardedMonitor::interval(ShardPlan::contiguous(kDim, s), pct2));
         f.fold(*monitor, true);
         optimize_with_workload(*monitor);
+        return monitor;
+      });
+
+  // The served-size BDD: the serving MLP's robust monitor, built the way
+  // the serving fixture builds it, queried with features of its training
+  // inputs and of fresh inputs (both verdicts occur).
+  Rng mlp_rng(123);
+  Network mlp = make_mlp({16, 64, 32, 8}, mlp_rng);
+  std::vector<Tensor> mlp_train;
+  for (std::size_t i = 0; i < kMlpTrainInputs; ++i) {
+    mlp_train.push_back(Tensor::random_uniform({16}, mlp_rng));
+  }
+  const MonitorBuilder mlp_builder(mlp, kMlpLayer);
+  const ThresholdSpec mlp_spec = ThresholdSpec::from_percentiles(
+      mlp_builder.collect_stats(mlp_train, /*keep_samples=*/true), 2);
+  const PerturbationSpec mlp_delta{0, kMlpDelta, BoundDomain::kBox};
+  std::vector<std::vector<float>> mlp_queries;
+  for (std::size_t i = 0; i < kObservations; ++i) {
+    mlp_queries.push_back(mlp_builder.features(mlp_train[i]));
+    mlp_queries.push_back(
+        mlp_builder.features(Tensor::random_uniform({16}, mlp_rng)));
+  }
+  const std::vector<std::size_t> mlp_batch_sizes =
+      smoke ? std::vector<std::size_t>{8, 256}
+            : std::vector<std::size_t>{1, 8, 64, 256};
+  bench_family(
+      "mlp_robust", mlp_queries, mlp_batch_sizes, base_reps, results,
+      [&] {
+        auto monitor = std::make_unique<IntervalMonitor>(mlp_spec);
+        mlp_builder.build_robust(*monitor, mlp_train, mlp_delta);
+        return monitor;
+      },
+      [&](std::size_t s) {
+        auto monitor = std::make_unique<ShardedMonitor>(
+            ShardedMonitor::interval(mlp_builder.shard_plan(s), mlp_spec));
+        mlp_builder.build_robust(*monitor, mlp_train, mlp_delta);
         return monitor;
       });
 

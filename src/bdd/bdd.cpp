@@ -234,22 +234,12 @@ std::optional<unsigned> BddManager::min_hamming_distance(
 }
 
 bool BddManager::eval(NodeRef f, const std::vector<bool>& assignment) const {
-  if (hits_ptr_ != nullptr) {
-    return eval_with_profiled(f, [&](std::uint32_t v) {
-      if (v >= assignment.size()) {
-        throw std::invalid_argument("BddManager::eval: assignment too short");
-      }
-      return bool(assignment[v]);
-    });
-  }
-  while (f != kFalse && f != kTrue) {
-    const Node& n = nodes_[f];
-    if (n.var >= assignment.size()) {
+  return eval_with(f, [&](std::uint32_t v) {
+    if (v >= assignment.size()) {
       throw std::invalid_argument("BddManager::eval: assignment too short");
     }
-    f = assignment[n.var] ? n.hi : n.lo;
-  }
-  return f == kTrue;
+    return bool(assignment[v]);
+  });
 }
 
 std::uint64_t* BddManager::profile_counters() const {

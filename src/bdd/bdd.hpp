@@ -30,6 +30,8 @@
 #include <string>
 #include <vector>
 
+#include "bdd/walk.hpp"
+
 namespace ranm::bdd {
 
 /// Reference to a BDD node (index into the manager's arena).
@@ -117,54 +119,20 @@ class BddManager {
                           const std::vector<bool>& assignment) const;
   /// Evaluates f under an assignment supplied by `lookup(var) -> bool`.
   /// The caller guarantees lookup is defined for every variable in f's
-  /// support; no per-node bounds check is paid. This is the batch query
-  /// hot path: one lookup closure serves a whole batch without building a
-  /// std::vector<bool> assignment per sample.
+  /// support; no per-node bounds check is paid.
   template <typename Lookup>
   [[nodiscard]] bool eval_with(NodeRef f, Lookup&& lookup) const {
-    if (hits_ptr_ != nullptr) return eval_with_profiled(f, lookup);
-    while (f != kFalse && f != kTrue) {
-      const Node& n = nodes_[f];
-      f = lookup(n.var) ? n.hi : n.lo;
-    }
-    return f == kTrue;
+    return walk_one(f, node_at(), lookup, count_queries(1)) == kTrue;
   }
 
-  /// Evaluates f under `n` assignments at once; `lookup(var, i)` supplies
-  /// sample i's value of `var`. All samples advance level-synchronously,
-  /// so the arena loads of different samples overlap in the memory system
-  /// instead of each query serialising on its own root-to-terminal
-  /// pointer chase — the throughput shape of the batched membership
-  /// query. out[i] receives eval(f, sample i).
+  /// Evaluates f under `n` assignments at once through the batched walk
+  /// (walk.hpp); `lookup(var, i)` supplies sample i's value of `var`.
+  /// out[i] receives eval(f, sample i).
   template <typename Lookup>
   void eval_batch(NodeRef f, std::size_t n, Lookup&& lookup,
                   bool* out) const {
-    if (hits_ptr_ != nullptr) {
-      eval_batch_profiled(f, n, lookup, out);
-      return;
-    }
-    if (f == kFalse || f == kTrue) {
-      for (std::size_t i = 0; i < n; ++i) out[i] = f == kTrue;
-      return;
-    }
-    std::vector<NodeRef> cur(n, f);
-    std::vector<std::uint32_t> active(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      active[i] = static_cast<std::uint32_t>(i);
-    }
-    std::size_t live = n;
-    while (live > 0) {
-      std::size_t kept = 0;
-      for (std::size_t r = 0; r < live; ++r) {
-        const std::uint32_t i = active[r];
-        const Node& nd = nodes_[cur[i]];
-        const NodeRef next = lookup(nd.var, i) ? nd.hi : nd.lo;
-        cur[i] = next;
-        if (next != kFalse && next != kTrue) active[kept++] = i;
-      }
-      live = kept;
-    }
-    for (std::size_t i = 0; i < n; ++i) out[i] = cur[i] == kTrue;
+    WalkScratch scratch;
+    walk_batch(f, n, node_at(), lookup, out, scratch, count_queries(n));
   }
   /// Number of satisfying assignments over all num_vars() variables.
   [[nodiscard]] double sat_count(NodeRef f) const;
@@ -190,9 +158,9 @@ class BddManager {
 
   // -- workload profiling ---------------------------------------------------
   // Per-node hit counters behind a zero-cost-when-off profile mode: the
-  // eval hot paths branch once on a raw counter pointer (null when off)
-  // and run the unprofiled loop untouched, so disabled profiling costs
-  // nothing on the level-synchronous batch sweep.
+  // evals hand the walk a raw counter pointer, null when off, and the walk
+  // branches on it once per call, so disabled profiling costs nothing per
+  // hop.
   /// Enables/disables hit counting on eval/eval_with/eval_batch.
   void set_profiling(bool enabled);
   [[nodiscard]] bool profiling() const noexcept { return profiling_; }
@@ -260,46 +228,19 @@ class BddManager {
   /// profiling was enabled).
   std::uint64_t* profile_counters() const;
 
-  template <typename Lookup>
-  [[nodiscard]] bool eval_with_profiled(NodeRef f, Lookup&& lookup) const {
-    std::uint64_t* hits = profile_counters();
-    ++queries_;
-    while (f != kFalse && f != kTrue) {
-      ++hits[f];
-      const Node& n = nodes_[f];
-      f = lookup(n.var) ? n.hi : n.lo;
-    }
-    return f == kTrue;
+  /// The walk's view of the arena: refs index nodes_ directly.
+  [[nodiscard]] auto node_at() const noexcept {
+    return [nodes = nodes_.data()](NodeRef r) -> const Node& {
+      return nodes[r];
+    };
   }
 
-  template <typename Lookup>
-  void eval_batch_profiled(NodeRef f, std::size_t n, Lookup&& lookup,
-                           bool* out) const {
-    std::uint64_t* hits = profile_counters();
+  /// The hit counters for a walk of n samples: null when profiling is
+  /// off, else the counter array, with the n queries already counted.
+  std::uint64_t* count_queries(std::size_t n) const {
+    if (hits_ptr_ == nullptr) return nullptr;
     queries_ += n;
-    if (f == kFalse || f == kTrue) {
-      for (std::size_t i = 0; i < n; ++i) out[i] = f == kTrue;
-      return;
-    }
-    std::vector<NodeRef> cur(n, f);
-    std::vector<std::uint32_t> active(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      active[i] = static_cast<std::uint32_t>(i);
-    }
-    std::size_t live = n;
-    while (live > 0) {
-      std::size_t kept = 0;
-      for (std::size_t r = 0; r < live; ++r) {
-        const std::uint32_t i = active[r];
-        ++hits[cur[i]];
-        const Node& nd = nodes_[cur[i]];
-        const NodeRef next = lookup(nd.var, i) ? nd.hi : nd.lo;
-        cur[i] = next;
-        if (next != kFalse && next != kTrue) active[kept++] = i;
-      }
-      live = kept;
-    }
-    for (std::size_t i = 0; i < n; ++i) out[i] = cur[i] == kTrue;
+    return profile_counters();
   }
 
   std::uint32_t num_vars_;

@@ -14,8 +14,8 @@ namespace {
 
 /// Rough per-sample op count of one unit's evaluator, for the pool-grain
 /// test: box sweeps touch dim * boxes coordinates, coded programs pay
-/// the threshold coding plus either the cube scan or the node sweep
-/// (O(nodes) amortised over each 64-sample block).
+/// the threshold coding plus either the cube scan or the BDD walk, whose
+/// path visits at most one node per variable.
 std::size_t unit_cost_per_sample(const CompiledUnit& u) {
   switch (u.kind) {
     case ProgramKind::kBox:
@@ -25,7 +25,7 @@ std::size_t unit_cost_per_sample(const CompiledUnit& u) {
              u.cube.num_cubes * u.coding.num_words();
     case ProgramKind::kBdd:
       return u.coding.dim * u.coding.thresholds_per_neuron() +
-             u.bdd.nodes.size() / 16;
+             u.coding.num_vars();
   }
   return 1;
 }

@@ -111,12 +111,10 @@ bool extract_cubes(const bdd::BddManager& mgr, bdd::NodeRef root,
 /// The BDD is level-ordered (children strictly deeper than parents), so
 /// sorting by *level* puts every child after its parent — the flat refs
 /// then satisfy the child > parent invariant the loader re-validates.
-/// Level order also keeps consecutive nodes' children clustered in the
-/// next level's block, which the bit-parallel bottom-up sweep depends
-/// on: its vals[child] loads stay in a narrow window. (A reverse-DFS
-/// layout that makes per-sample walks stride-1 was tried and scatters
-/// those loads instead — the full-block sweep nearly doubled in cost
-/// for a walk gain the branch-speculated select already provides.)
+/// Level order also serves the batched walk (bdd/walk.hpp): every
+/// sample's cursor advances one hop per level-synchronous step, so one
+/// step's node loads fall in one level's block of the array, or in a few
+/// adjacent ones where paths skip levels.
 /// The emitted FlatBddNode::var is the semantic slot (via slot_of_level),
 /// which under a custom order is not monotone in flat position — only
 /// the refs must be, and they are.

@@ -3,15 +3,16 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "bdd/bdd.hpp"
+
 namespace ranm::compile {
 namespace {
 
 /// Samples coded per stack-buffer block.
 constexpr std::size_t kLane = 64;
-/// Below this, matrix setup dominates and the per-sample lazy paths win —
-/// the same threshold the interpreted monitors use
-/// (Monitor::kMinBitMatrixBatch).
-constexpr std::size_t kSmallBatch = 8;
+/// Below this, batch setup dominates and the per-sample lazy paths win —
+/// the batched BDD walk's cutoff, which the interpreted monitors use too.
+constexpr std::size_t kSmallBatch = bdd::kMinBatchWalk;
 /// Codewords up to this many words fit the lazy paths' stack buffer.
 constexpr std::size_t kMaxStackWords = 16;
 
@@ -328,115 +329,46 @@ void eval_cube(const CodingTable& ct, const CubeProgram& p,
   }
 }
 
-/// In-place 64x64 bit-matrix transpose (the recursive block-swap
-/// scheme): bit j of a[k] moves to bit k of a[j].
-void transpose64(std::uint64_t a[64]) {
-  std::uint64_t m = 0xFFFFFFFF00000000ULL;
-  for (std::size_t j = 32; j != 0; j >>= 1, m ^= m >> j) {
-    for (std::size_t k = 0; k < 64; k = (k + j + 1) & ~j) {
-      const std::uint64_t t = (a[k] ^ (a[k | j] << j)) & m;
-      a[k] ^= t;
-      a[k | j] ^= t >> j;
-    }
-  }
-}
-
 void eval_bdd(const CodingTable& ct, const BddProgram& p,
               const FeatureBatch& batch, const std::uint32_t* row_map,
               bool* out, EvalScratch& s, const std::uint64_t* support) {
   const std::size_t n = batch.size();
-  if (p.root < 2) {
-    std::fill(out, out + n, p.root == 1);
-    return;
-  }
   const FlatBddNode* nodes = p.nodes.data();
   const std::size_t W = ct.num_words();
-  const std::size_t num_nodes = p.nodes.size();
   // Support mask: neurons none of whose variables label a node never
   // influence a verdict, so coding skips them (robust sets drop many).
   // Normally precomputed once (CompiledUnit::finalize).
   if (support == nullptr) {
     s.needed.assign(W, 0ULL);
-    for (std::size_t k = 0; k < num_nodes; ++k) {
-      s.needed[nodes[k].var >> 6] |= 1ULL << (nodes[k].var & 63);
+    for (const FlatBddNode& nd : p.nodes) {
+      s.needed[nd.var >> 6] |= 1ULL << (nd.var & 63);
     }
     support = s.needed.data();
   }
+  // Tiny batches code each sample's supported neurons into a stack
+  // codeword; larger ones code the whole batch with the vectorized
+  // compare-and-pack loops.
+  std::uint64_t stack_words[kSmallBatch * kMaxStackWords];
+  const std::uint64_t* words = stack_words;
   if (n < kSmallBatch && W <= kMaxStackWords) {
-    // Lazy per-sample path: code the sample's supported neurons once,
-    // then walk the BDD on bit tests. Coding is one streaming pass over
-    // the threshold table; the old walk re-ran the threshold compares at
-    // every node (twice per 2-bit neuron), which made a single compiled
-    // query slower than the interpreted one.
+    std::fill(stack_words, stack_words + n * W, 0ULL);
     for (std::size_t i = 0; i < n; ++i) {
-      std::uint64_t word[kMaxStackWords] = {};
-      code_sample_word(ct, batch, row_map, i, support, word);
-      std::uint32_t ref = p.root;
-      // The child select is a *branch* on purpose: a branch lets the
-      // core speculate down the predicted path instead of serialising
-      // every hop on the word load (indexing child[bit] directly is a
-      // data dependency and measures ~2x slower on deep walks), and
-      // monitor query streams repeat similar paths, so it predicts well.
-      while (ref >= 2) {
+      code_sample_word(ct, batch, row_map, i, support, stack_words + i * W);
+    }
+  } else {
+    fill_words(ct, batch, row_map, s, support);
+    words = s.words.data();
+  }
+  bdd::walk_batch(
+      p.root, n,
+      [nodes](std::uint32_t ref) {
         const FlatBddNode& nd = nodes[ref - 2];
-        if ((word[nd.var >> 6] >> (nd.var & 63)) & 1ULL) {
-          ref = nd.child[1];
-        } else {
-          ref = nd.child[0];
-        }
-      }
-      out[i] = ref == 1;
-    }
-    return;
-  }
-  // Bit-parallel sweeps, 64 samples per block, over one u64 lane per
-  // variable (bit i = sample base + i's value): pack sample-major
-  // codewords once (the per-neuron compare loops vectorize), then
-  // transpose each block into var-major lanes.
-  fill_words(ct, batch, row_map, s, support);
-  s.varbits.resize(W * 64);
-  // vals is indexed by *ref* with the two terminals padded in front
-  // (vals[0] = FALSE, vals[1] = TRUE, node k at vals[k + 2]), so the
-  // sweep resolves children with one unconditional load each.
-  s.vals.resize(num_nodes + 2);
-  const std::uint64_t* words = s.words.data();
-  for (std::size_t base = 0; base < n; base += kLane) {
-    const std::size_t count = std::min(kLane, n - base);
-    for (std::size_t w = 0; w < W; ++w) {
-      std::uint64_t col[kLane];
-      for (std::size_t i = 0; i < count; ++i) {
-        col[i] = words[(base + i) * W + w];
-      }
-      for (std::size_t i = count; i < kLane; ++i) col[i] = 0;
-      transpose64(col);
-      std::copy(col, col + kLane, s.varbits.data() + w * 64);
-    }
-    const std::uint64_t* varbits = s.varbits.data();
-    // Bottom-up, every node exactly once — vals[ref] =
-    // (lane & hi) | (~lane & lo), walking the array backwards so
-    // children (strictly larger refs) are already resolved. Per block
-    // this costs O(nodes), versus O(sum of path lengths) for a
-    // per-sample walk: the whole block shares one sweep instead of
-    // chasing up to 64 separate root-to-terminal chains. Partial
-    // blocks run the same sweep with the spare lane bits zeroed and
-    // ignored: a sparse top-down reach-mask pass that skips unreached
-    // nodes was tried and lost — at tail sizes its per-node skip
-    // branches are ~50% dense, and the mispredicts cost more than the
-    // branchless full sweep.
-    std::uint64_t* vals = s.vals.data();
-    vals[0] = 0;
-    vals[1] = ~0ULL;
-    for (std::size_t k = num_nodes; k-- > 0;) {
-      const FlatBddNode& nd = nodes[k];
-      const std::uint64_t lane = varbits[nd.var];
-      vals[k + 2] =
-          (lane & vals[nd.child[1]]) | (~lane & vals[nd.child[0]]);
-    }
-    const std::uint64_t r = vals[p.root];
-    for (std::size_t i = 0; i < count; ++i) {
-      out[base + i] = ((r >> i) & 1ULL) != 0;
-    }
-  }
+        return bdd::BddManager::NodeView{nd.var, nd.child[0], nd.child[1]};
+      },
+      [words, W](std::uint32_t var, std::size_t i) {
+        return ((words[i * W + (var >> 6)] >> (var & 63)) & 1ULL) != 0;
+      },
+      out, s.walk);
 }
 
 }  // namespace

@@ -12,32 +12,23 @@
 //                 when the BDD's cube cover is small (robust builds with
 //                 don't-cares typically are).
 //   BddProgram  — the reachable BDD nodes as a topologically-ordered flat
-//                 array walked with branchless index arithmetic: no hash
-//                 tables, no construction garbage, children resolved by
-//                 array index. Refs: 0 = FALSE, 1 = TRUE, r >= 2 is
+//                 array: no hash tables, no construction garbage,
+//                 children resolved by array index. Refs: 0 = FALSE, 1 = TRUE, r >= 2 is
 //                 nodes[r - 2]; every child ref is strictly greater than
 //                 its parent's ref, so a walk always terminates.
 //
 // Evaluation sweeps samples batch-lane-innermost (like the batched box
 // kernels): per-neuron parameters load once per batch row, coding
-// fuses compare-and-pack into sample-major u64 codewords (each lane's
-// whole codeword stays on one cache line for the cube compares), cube
-// covers skip coding any neuron no cube tests, and BDD programs run a
-// bit-parallel bottom-up sweep — each 64-sample block's codewords are
-// transposed into one u64 lane per variable and every node is evaluated
-// exactly once per block with three bitwise ops, so the whole block
-// shares one O(nodes) pass instead of 64 root-to-terminal chases.
-// (Coding straight into var-major lanes, skipping the transpose, is
-// slower: the scalar shift-chain packing defeats the vectorization of
-// the sample-major compare loops, and the 64x64 transpose is cheap.)
-// Partial trailing blocks run the same sweep with the spare lane bits
-// zeroed: the sweep is branchless, and that beats any sparse
-// reached-nodes pass whose per-node skip branches mispredict. Tiny
-// batches (below the same threshold the interpreted monitors use) take
-// lazy per-sample paths — code the sample's supported neurons once,
-// then walk the BDD on bit tests — so the matrix setup never dominates.
-// Scratch deliberately holds no char-sized buffers: u32/u64 lanes
-// cannot alias the float rows, which keeps the inner sweeps
+// fuses compare-and-pack into sample-major u64 codewords (each sample's
+// whole codeword stays on one cache line for the cube compares and the
+// BDD walk), and cube covers and BDD programs skip coding any neuron
+// they never test. BDD programs then run the batched BDD walk that the
+// interpreted monitors run too (bdd/walk.hpp), testing codeword bits:
+// each sample costs its root-to-terminal path, whatever the program's
+// node count. Tiny batches (below the walk's kMinBatchWalk) code each
+// sample into a stack codeword instead, so the batch setup never
+// dominates. Scratch deliberately holds no char-sized buffers: u32/u64
+// lanes cannot alias the float rows, which keeps the coding loops
 // vectorizable.
 //
 // Verdict semantics mirror the interpreted monitors bit-for-bit, NaN
@@ -50,6 +41,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "bdd/walk.hpp"
 #include "core/feature_batch.hpp"
 
 namespace ranm::compile {
@@ -147,11 +139,10 @@ struct CompiledUnit {
 /// steady-state query path pays no allocator traffic (and so concurrent
 /// shard evaluations never share scratch).
 struct EvalScratch {
-  std::vector<std::uint32_t> flags;    // box-sweep lane flags
-  std::vector<std::uint64_t> words;    // packed codewords, sample-major
-  std::vector<std::uint64_t> needed;   // cube-mask union / BDD support
-  std::vector<std::uint64_t> varbits;  // var-major block lanes (BDD sweep)
-  std::vector<std::uint64_t> vals;     // per-node block verdicts (BDD sweep)
+  std::vector<std::uint32_t> flags;   // box-sweep lane flags
+  std::vector<std::uint64_t> words;   // packed codewords, sample-major
+  std::vector<std::uint64_t> needed;  // cube-mask union / BDD support
+  bdd::WalkScratch walk;              // BDD walk cursors
 };
 
 /// Batched membership: out[i] = unit contains sample i of `batch`.

@@ -186,43 +186,6 @@ bool BoxClusterMonitor::contains(std::span<const float> feature) const {
   return false;
 }
 
-void BoxClusterMonitor::contains_batch(const FeatureBatch& batch,
-                                       std::span<bool> out) const {
-  if (!finalized_) {
-    throw std::logic_error("BoxClusterMonitor: query before finalize");
-  }
-  check_batch(batch, out.size(), "BoxClusterMonitor::contains_batch");
-  const std::size_t n = batch.size();
-  std::fill(out.begin(), out.end(), false);
-  if (n == 0) return;
-  if (n < kMinBitMatrixBatch) {
-    Monitor::contains_batch(batch, out);  // sweep setup would dominate
-    return;
-  }
-  // Box-major sweep: each hull box streams over the contiguous batch rows
-  // once; membership in any box is OR-folded into the output.
-  std::vector<std::uint8_t> in(n);
-  std::size_t remaining = n;
-  for (const auto& box : boxes_) {
-    std::fill(in.begin(), in.end(), std::uint8_t{1});
-    for (std::size_t j = 0; j < dim_; ++j) {
-      const float lo = box[j].lo, hi = box[j].hi;
-      const auto row = batch.neuron(j);
-      for (std::size_t i = 0; i < n; ++i) {
-        in[i] = std::uint8_t(in[i] & std::uint8_t(row[i] >= lo) &
-                             std::uint8_t(row[i] <= hi));
-      }
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      if (in[i] != 0 && !out[i]) {
-        out[i] = true;
-        --remaining;
-      }
-    }
-    if (remaining == 0) break;
-  }
-}
-
 std::string BoxClusterMonitor::describe() const {
   return "BoxClusterMonitor(d=" + std::to_string(dim_) +
          ", k=" + std::to_string(num_clusters_) +

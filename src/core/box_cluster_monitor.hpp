@@ -33,13 +33,11 @@ class BoxClusterMonitor final : public Monitor {
   [[nodiscard]] std::string describe() const override;
 
   // Batch path: buffering appends whole columns without per-sample
-  // validation overhead; queries sweep box-major so each hull box streams
-  // over the batch once, with samples already inside any box skipped.
+  // validation overhead. Batched queries keep Monitor's per-sample
+  // default, which stops at the first box that contains the sample.
   void observe_batch(const FeatureBatch& batch) override;
   void observe_bounds_batch(const FeatureBatch& lo,
                             const FeatureBatch& hi) override;
-  void contains_batch(const FeatureBatch& batch,
-                      std::span<bool> out) const override;
 
   /// Runs k-means (k-means++ seeding, `iterations` Lloyd steps) on the
   /// buffered observation midpoints, then builds one hull box per cluster

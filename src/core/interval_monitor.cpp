@@ -214,7 +214,7 @@ void IntervalMonitor::contains_batch(const FeatureBatch& batch,
   check_batch(batch, out.size(), "IntervalMonitor::contains_batch");
   const std::size_t n = batch.size();
   if (n == 0) return;
-  if (n < kMinBitMatrixBatch) {
+  if (n < bdd::kMinBatchWalk) {
     // Matrix setup would dominate; walk the BDD per sample instead,
     // coding neurons lazily as their bit variables are visited.
     const std::size_t nbits = spec_.bits();

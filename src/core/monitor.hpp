@@ -106,11 +106,6 @@ class Monitor {
   }
 
  protected:
-  /// Below this batch size the batched kernels fall back to the scalar
-  /// loop: the shared setup (bit matrices, sweep buffers) would dominate
-  /// the query work itself.
-  static constexpr std::size_t kMinBitMatrixBatch = 8;
-
   /// Validates a (batch, out) query pair against this monitor's dimension.
   void check_batch(const FeatureBatch& batch, std::size_t out_size,
                    const char* what) const;

@@ -192,7 +192,7 @@ void OnOffMonitor::contains_batch(const FeatureBatch& batch,
   const std::size_t n = batch.size();
   if (n == 0) return;
   const std::size_t d = dimension();
-  if (n < kMinBitMatrixBatch) {
+  if (n < bdd::kMinBatchWalk) {
     // Matrix setup would dominate; walk the BDD per sample instead,
     // thresholding lazily — only variables on the walked path are coded,
     // and no per-query assignment vector is allocated.

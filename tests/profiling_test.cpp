@@ -83,26 +83,32 @@ TEST(Profiling, BatchSweepMatchesScalarCounts) {
   }
 
   mgr.set_profiling(true);
-  std::vector<char> scalar(n);
-  for (std::size_t i = 0; i < n; ++i) scalar[i] = mgr.eval(f, samples[i]);
-  std::vector<std::uint64_t> scalar_hits(mgr.arena_size());
-  for (bdd::NodeRef r = 0; r < mgr.arena_size(); ++r) {
-    scalar_hits[r] = mgr.node_hits(r);
-  }
-  const std::uint64_t scalar_queries = mgr.profile_queries();
+  // The batched walk (bdd/walk.hpp) must record the same per-node totals
+  // as k scalar chases, both below its small-batch cutoff (one walk per
+  // sample) and above it (level-synchronous).
+  for (const std::size_t k : {bdd::kMinBatchWalk - 1, n}) {
+    SCOPED_TRACE("batch " + std::to_string(k));
+    mgr.reset_profile();
+    std::vector<char> scalar(k);
+    for (std::size_t i = 0; i < k; ++i) scalar[i] = mgr.eval(f, samples[i]);
+    std::vector<std::uint64_t> scalar_hits(mgr.arena_size());
+    for (bdd::NodeRef r = 0; r < mgr.arena_size(); ++r) {
+      scalar_hits[r] = mgr.node_hits(r);
+    }
+    const std::uint64_t scalar_queries = mgr.profile_queries();
 
-  // The level-synchronous batch sweep must record the same per-node
-  // totals as n scalar chases.
-  mgr.reset_profile();
-  const auto batched = std::make_unique<bool[]>(n);
-  mgr.eval_batch(
-      f, n, [&](std::uint32_t var, std::size_t i) { return samples[i][var]; },
-      batched.get());
-  EXPECT_EQ(mgr.profile_queries(), scalar_queries);
-  for (bdd::NodeRef r = 0; r < mgr.arena_size(); ++r) {
-    EXPECT_EQ(mgr.node_hits(r), scalar_hits[r]) << "node " << r;
+    mgr.reset_profile();
+    const auto batched = std::make_unique<bool[]>(k);
+    mgr.eval_batch(
+        f, k,
+        [&](std::uint32_t var, std::size_t i) { return samples[i][var]; },
+        batched.get());
+    EXPECT_EQ(mgr.profile_queries(), scalar_queries);
+    for (bdd::NodeRef r = 0; r < mgr.arena_size(); ++r) {
+      EXPECT_EQ(mgr.node_hits(r), scalar_hits[r]) << "node " << r;
+    }
+    EXPECT_EQ(std::vector<char>(batched.get(), batched.get() + k), scalar);
   }
-  EXPECT_EQ(std::vector<char>(batched.get(), batched.get() + n), scalar);
 }
 
 TEST(Profiling, FlatMonitorAccumulatesAndPersists) {
