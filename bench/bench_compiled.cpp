@@ -11,8 +11,10 @@
 // 256 training inputs, Δ = 0.015, about 63k nodes), the size of a served
 // artifact.
 //
-// Results print as a table and land in BENCH_compiled.json (or argv[1]);
-// RANM_SMOKE=1 shrinks repetitions for CI smoke runs.
+// Both columns of a row are timed interleaved, fastest round kept
+// (benchutil::time_interleaved). Results print as a table and land in
+// BENCH_compiled.json (or argv[1]); RANM_SMOKE=1 shrinks repetitions for
+// CI smoke runs.
 #include <cstdio>
 #include <memory>
 #include <span>
@@ -28,14 +30,12 @@
 #include "core/minmax_monitor.hpp"
 #include "core/monitor_builder.hpp"
 #include "core/neuron_stats.hpp"
-#include "core/onoff_monitor.hpp"
 #include "core/optimize.hpp"
 #include "core/perturbation_estimator.hpp"
 #include "core/sharded_monitor.hpp"
 #include "nn/init.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
-#include "util/timer.hpp"
 
 namespace ranm {
 namespace {
@@ -112,15 +112,6 @@ const char* program_label(const compile::CompiledMonitor& compiled) {
   return "box";
 }
 
-template <typename Fn>
-double time_per_sample(std::size_t reps, std::size_t samples_per_rep,
-                       Fn&& fn) {
-  fn(std::size_t{1});  // warmup
-  Timer timer;
-  fn(reps);
-  return timer.seconds() * 1e9 / double(reps) / double(samples_per_rep);
-}
-
 Measurement bench_pair(const std::string& name, const Monitor& interpreted,
                        const compile::CompiledMonitor& compiled,
                        std::size_t shards, std::size_t threads,
@@ -138,18 +129,23 @@ Measurement bench_pair(const std::string& name, const Monitor& interpreted,
   m.batch_size = batch_size;
   m.shards = shards;
   m.threads = threads;
-  m.interpreted_ns = time_per_sample(reps, batch_size, [&](std::size_t n) {
-    for (std::size_t r = 0; r < n; ++r) {
-      interpreted.contains_batch(batch, out_span);
-      g_sink += out_span.front();
-    }
-  });
-  m.compiled_ns = time_per_sample(reps, batch_size, [&](std::size_t n) {
-    for (std::size_t r = 0; r < n; ++r) {
-      compiled.contains_batch(batch, out_span);
-      g_sink += out_span.front();
-    }
-  });
+  // Interpreted and compiled take turns round by round.
+  const std::vector<double> ns = benchutil::time_interleaved(
+      reps, batch_size,
+      {[&](std::size_t n) {
+         for (std::size_t r = 0; r < n; ++r) {
+           interpreted.contains_batch(batch, out_span);
+           g_sink += out_span.front();
+         }
+       },
+       [&](std::size_t n) {
+         for (std::size_t r = 0; r < n; ++r) {
+           compiled.contains_batch(batch, out_span);
+           g_sink += out_span.front();
+         }
+       }});
+  m.interpreted_ns = ns[0];
+  m.compiled_ns = ns[1];
   return m;
 }
 
@@ -261,13 +257,13 @@ int run(int argc, char** argv) {
   bench_family(
       "onoff", f.features, batch_sizes, base_reps, results,
       [&] {
-        auto monitor = std::make_unique<OnOffMonitor>(means);
+        auto monitor = std::make_unique<IntervalMonitor>(means);
         f.fold(*monitor, false);
         return monitor;
       },
       [&](std::size_t s) {
         auto monitor = std::make_unique<ShardedMonitor>(
-            ShardedMonitor::onoff(ShardPlan::contiguous(kDim, s), means));
+            ShardedMonitor::interval(ShardPlan::contiguous(kDim, s), means));
         f.fold(*monitor, false);
         return monitor;
       });

@@ -17,9 +17,12 @@
 // Network::forward/backward loop against train(). Results are printed as a
 // table and written as machine-readable JSON (BENCH_throughput.json, or
 // the path given as argv[1]) so the perf trajectory is tracked per-PR.
-// RANM_SMOKE=1 shrinks repetition counts for CI smoke runs.
+// Both arms of a row are timed interleaved, fastest round kept
+// (benchutil::time_interleaved). RANM_SMOKE=1 shrinks repetition counts
+// for CI smoke runs.
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <span>
 #include <sstream>
@@ -33,7 +36,6 @@
 #include "core/minmax_monitor.hpp"
 #include "core/monitor_builder.hpp"
 #include "core/multi_layer_monitor.hpp"
-#include "core/onoff_monitor.hpp"
 #include "core/sharded_monitor.hpp"
 #include "data/digits.hpp"
 #include "nn/init.hpp"
@@ -87,15 +89,22 @@ struct Measurement {
   }
 };
 
-/// Times `fn(reps)` and returns nanoseconds per sample, after one warmup.
+/// Nanoseconds per sample of `fn(reps)`: the fastest of the interleaved
+/// timing rounds (benchutil::time_interleaved).
 template <typename Fn>
 double time_per_sample(std::size_t reps, std::size_t samples_per_rep,
                        Fn&& fn) {
-  fn(std::size_t{1});  // warmup
-  Timer timer;
-  fn(reps);
-  const double secs = timer.seconds();
-  return secs * 1e9 / double(reps) / double(samples_per_rep);
+  return benchutil::time_interleaved(reps, samples_per_rep, {fn}).front();
+}
+
+/// Times the scalar and batched arms of `m` interleaved, round by round.
+template <typename Scalar, typename Batched>
+void time_pair(Measurement& m, std::size_t reps, std::size_t samples_per_rep,
+               Scalar&& scalar, Batched&& batched) {
+  const std::vector<double> ns =
+      benchutil::time_interleaved(reps, samples_per_rep, {scalar, batched});
+  m.scalar_ns = ns[0];
+  m.batched_ns = ns[1];
 }
 
 /// Scalar-loop vs contains_batch on pre-extracted features.
@@ -110,21 +119,23 @@ Measurement bench_query(const std::string& name, const Monitor& monitor,
   m.monitor = name;
   m.mode = "query";
   m.batch_size = batch_size;
-  m.scalar_ns = time_per_sample(reps, batch_size, [&](std::size_t n) {
-    for (std::size_t r = 0; r < n; ++r) {
-      for (std::size_t i = 0; i < batch_size; ++i) {
-        g_sink += monitor.contains(f.features[i % f.features.size()]);
-      }
-    }
-  });
   auto out = std::make_unique<bool[]>(batch_size);
   std::span<bool> out_span(out.get(), batch_size);
-  m.batched_ns = time_per_sample(reps, batch_size, [&](std::size_t n) {
-    for (std::size_t r = 0; r < n; ++r) {
-      monitor.contains_batch(batch, out_span);
-      g_sink += out_span.front();
-    }
-  });
+  time_pair(
+      m, reps, batch_size,
+      [&](std::size_t n) {
+        for (std::size_t r = 0; r < n; ++r) {
+          for (std::size_t i = 0; i < batch_size; ++i) {
+            g_sink += monitor.contains(f.features[i % f.features.size()]);
+          }
+        }
+      },
+      [&](std::size_t n) {
+        for (std::size_t r = 0; r < n; ++r) {
+          monitor.contains_batch(batch, out_span);
+          g_sink += out_span.front();
+        }
+      });
   return m;
 }
 
@@ -136,23 +147,24 @@ Measurement bench_end_to_end(const std::string& name,
   m.monitor = name;
   m.mode = "end_to_end";
   m.batch_size = batch_size;
-  m.scalar_ns = time_per_sample(reps, batch_size, [&](std::size_t n) {
-    for (std::size_t r = 0; r < n; ++r) {
-      for (std::size_t i = 0; i < batch_size; ++i) {
-        g_sink += f.builder.warns(monitor,
-                                  f.train[i % f.train.size()]);
-      }
-    }
-  });
   auto out = std::make_unique<bool[]>(batch_size);
   std::span<bool> out_span(out.get(), batch_size);
   std::span<const Tensor> inputs(f.train.data(), batch_size);
-  m.batched_ns = time_per_sample(reps, batch_size, [&](std::size_t n) {
-    for (std::size_t r = 0; r < n; ++r) {
-      f.builder.warns_batch(monitor, inputs, out_span);
-      g_sink += out_span.front();
-    }
-  });
+  time_pair(
+      m, reps, batch_size,
+      [&](std::size_t n) {
+        for (std::size_t r = 0; r < n; ++r) {
+          for (std::size_t i = 0; i < batch_size; ++i) {
+            g_sink += f.builder.warns(monitor, f.train[i % f.train.size()]);
+          }
+        }
+      },
+      [&](std::size_t n) {
+        for (std::size_t r = 0; r < n; ++r) {
+          f.builder.warns_batch(monitor, inputs, out_span);
+          g_sink += out_span.front();
+        }
+      });
   return m;
 }
 
@@ -169,28 +181,31 @@ Measurement bench_construct(const std::string& name, const Fixture& f,
   m.monitor = name;
   m.mode = "construct";
   m.batch_size = batch_size;
-  m.scalar_ns = time_per_sample(reps, batch_size, [&](std::size_t n) {
-    for (std::size_t r = 0; r < n; ++r) {
-      auto monitor = make();
-      for (std::size_t i = 0; i < batch_size; ++i) {
-        monitor->observe(f.features[i % f.features.size()]);
-      }
-      g_sink += monitor->dimension();
-    }
-  });
-  m.batched_ns = time_per_sample(reps, batch_size, [&](std::size_t n) {
-    for (std::size_t r = 0; r < n; ++r) {
-      auto monitor = make();
-      monitor->observe_batch(batch);
-      g_sink += monitor->dimension();
-    }
-  });
+  time_pair(
+      m, reps, batch_size,
+      [&](std::size_t n) {
+        for (std::size_t r = 0; r < n; ++r) {
+          auto monitor = make();
+          for (std::size_t i = 0; i < batch_size; ++i) {
+            monitor->observe(f.features[i % f.features.size()]);
+          }
+          g_sink += monitor->dimension();
+        }
+      },
+      [&](std::size_t n) {
+        for (std::size_t r = 0; r < n; ++r) {
+          auto monitor = make();
+          monitor->observe_batch(batch);
+          g_sink += monitor->dimension();
+        }
+      });
   return m;
 }
 
 /// ns/sample of `fold(monitor)` over fresh monitors, with monitor setup
 /// (manager allocation, thread-pool spawn) excluded from the timed
-/// region so sharded and unsharded rows compare pure fold cost.
+/// region so sharded and unsharded rows compare pure fold cost. The
+/// fastest of the `reps` folds is reported, as in time_interleaved.
 template <typename Make, typename Fold>
 double time_fold_per_sample(std::size_t reps, std::size_t samples,
                             Make&& make, Fold&& fold) {
@@ -199,15 +214,15 @@ double time_fold_per_sample(std::size_t reps, std::size_t samples,
     fold(*monitor);
     g_sink += monitor->dimension();
   }
-  double secs = 0.0;
+  double secs = std::numeric_limits<double>::infinity();
   for (std::size_t r = 0; r < reps; ++r) {
     auto monitor = make();
-    Timer timer;
+    const Timer timer;
     fold(*monitor);
-    secs += timer.seconds();
+    secs = std::min(secs, timer.seconds());
     g_sink += monitor->dimension();
   }
-  return secs * 1e9 / double(reps) / double(samples);
+  return secs * 1e9 / double(samples);
 }
 
 /// Sharded-vs-unsharded sweep for one BDD monitor family. `make_plain`
@@ -341,23 +356,25 @@ Measurement bench_infer(const std::string& name, const Network& net,
   m.monitor = name;
   m.mode = "infer";
   m.batch_size = batch_size;
-  m.scalar_ns = time_per_sample(reps, batch_size, [&](std::size_t n) {
-    for (std::size_t r = 0; r < n; ++r) {
-      for (std::size_t i = 0; i < batch_size; ++i) {
-        Tensor v = inputs[i];
-        for (std::size_t l = 1; l <= net.num_layers(); ++l) {
-          v = net.layer(l).forward(v);
-        }
-        g_sink += v[0] > 0.0F;
-      }
-    }
-  });
   const std::span<const Tensor> batch(inputs.data(), batch_size);
-  m.batched_ns = time_per_sample(reps, batch_size, [&](std::size_t n) {
-    for (std::size_t r = 0; r < n; ++r) {
-      g_sink += net.forward_batch(batch).storage()[0] > 0.0F;
-    }
-  });
+  time_pair(
+      m, reps, batch_size,
+      [&](std::size_t n) {
+        for (std::size_t r = 0; r < n; ++r) {
+          for (std::size_t i = 0; i < batch_size; ++i) {
+            Tensor v = inputs[i];
+            for (std::size_t l = 1; l <= net.num_layers(); ++l) {
+              v = net.layer(l).forward(v);
+            }
+            g_sink += v[0] > 0.0F;
+          }
+        }
+      },
+      [&](std::size_t n) {
+        for (std::size_t r = 0; r < n; ++r) {
+          g_sink += net.forward_batch(batch).storage()[0] > 0.0F;
+        }
+      });
   return m;
 }
 
@@ -379,29 +396,31 @@ Measurement bench_train(std::size_t samples, std::size_t epochs) {
   m.monitor = "digit_convnet";
   m.mode = "train";
   m.batch_size = cfg.batch_size;
-  m.scalar_ns = time_per_sample(epochs, samples, [&](std::size_t n) {
-    for (std::size_t e = 0; e < n; ++e) {
-      const auto order = rng.permutation(samples);
-      net.zero_gradients();
-      for (std::size_t pos = 0; pos < samples; ++pos) {
-        const std::size_t idx = order[pos];
-        LossResult lr = loss.evaluate(net.forward(data.inputs[idx]),
-                                      data.targets[idx]);
-        lr.grad *= 1.0F / static_cast<float>(cfg.batch_size);
-        (void)net.backward(lr.grad);
-        if ((pos + 1) % cfg.batch_size == 0 || pos + 1 == samples) {
-          optimizer.step();
+  time_pair(
+      m, epochs, samples,
+      [&](std::size_t n) {
+        for (std::size_t e = 0; e < n; ++e) {
+          const auto order = rng.permutation(samples);
+          net.zero_gradients();
+          for (std::size_t pos = 0; pos < samples; ++pos) {
+            const std::size_t idx = order[pos];
+            LossResult lr = loss.evaluate(net.forward(data.inputs[idx]),
+                                          data.targets[idx]);
+            lr.grad *= 1.0F / static_cast<float>(cfg.batch_size);
+            (void)net.backward(lr.grad);
+            if ((pos + 1) % cfg.batch_size == 0 || pos + 1 == samples) {
+              optimizer.step();
+            }
+          }
         }
-      }
-    }
-  });
-  m.batched_ns = time_per_sample(epochs, samples, [&](std::size_t n) {
-    for (std::size_t e = 0; e < n; ++e) {
-      const auto history =
-          train(net, optimizer, loss, data.inputs, data.targets, cfg, rng);
-      g_sink += history.front().mean_loss > 0.0F;
-    }
-  });
+      },
+      [&](std::size_t n) {
+        for (std::size_t e = 0; e < n; ++e) {
+          const auto history = train(net, optimizer, loss, data.inputs,
+                                     data.targets, cfg, rng);
+          g_sink += history.front().mean_loss > 0.0F;
+        }
+      });
   return m;
 }
 
@@ -439,7 +458,7 @@ int run(int argc, char** argv) {
 
   MinMaxMonitor minmax(32);
   f.builder.build_standard(minmax, f.train);
-  OnOffMonitor onoff(ThresholdSpec::from_means(f.stats));
+  IntervalMonitor onoff(ThresholdSpec::from_means(f.stats));
   f.builder.build_standard(onoff, f.train);
   IntervalMonitor interval2(ThresholdSpec::from_percentiles(f.stats, 2));
   f.builder.build_standard(interval2, f.train);
@@ -483,22 +502,24 @@ int run(int argc, char** argv) {
     m.monitor = "multi_layer";
     m.mode = "end_to_end";
     m.batch_size = b;
-    m.scalar_ns = time_per_sample(e2e_reps, b, [&](std::size_t n) {
-      for (std::size_t r = 0; r < n; ++r) {
-        for (std::size_t i = 0; i < b; ++i) {
-          g_sink += multi.warns(f.train[i % f.train.size()]);
-        }
-      }
-    });
     auto out = std::make_unique<bool[]>(b);
     std::span<bool> out_span(out.get(), b);
     std::span<const Tensor> inputs(f.train.data(), b);
-    m.batched_ns = time_per_sample(e2e_reps, b, [&](std::size_t n) {
-      for (std::size_t r = 0; r < n; ++r) {
-        multi.warns_batch(inputs, out_span);
-        g_sink += out_span.front();
-      }
-    });
+    time_pair(
+        m, e2e_reps, b,
+        [&](std::size_t n) {
+          for (std::size_t r = 0; r < n; ++r) {
+            for (std::size_t i = 0; i < b; ++i) {
+              g_sink += multi.warns(f.train[i % f.train.size()]);
+            }
+          }
+        },
+        [&](std::size_t n) {
+          for (std::size_t r = 0; r < n; ++r) {
+            multi.warns_batch(inputs, out_span);
+            g_sink += out_span.front();
+          }
+        });
     results.push_back(m);
   }
   results.push_back(bench_construct(
@@ -521,10 +542,10 @@ int run(int argc, char** argv) {
   const ThresholdSpec spec_means = ThresholdSpec::from_means(f.stats);
   bench_sharded(
       "onoff", f, 256, construct_reps, query_reps, shard_counts, results,
-      [&] { return std::make_unique<OnOffMonitor>(spec_means); },
+      [&] { return std::make_unique<IntervalMonitor>(spec_means); },
       [&](std::size_t s) {
-        return ShardedMonitor::onoff(ShardPlan::contiguous(32, s),
-                                     spec_means);
+        return ShardedMonitor::interval(ShardPlan::contiguous(32, s),
+                                        spec_means);
       });
   bench_sharded(
       "interval", f, 256, construct_reps, query_reps, shard_counts, results,

@@ -1,14 +1,21 @@
-// Shared scaffolding for the self-timed benches: the RANM_SMOKE switch
-// and the BENCH_*.json report shape ({"bench", "smoke", "results": [...]})
-// live here once so every bench emits the same schema and a format tweak
-// (a new top-level field, say) lands everywhere at once.
+// Shared scaffolding for the self-timed benches: the RANM_SMOKE switch,
+// the interleaved min-of-rounds timer, and the BENCH_*.json report shape
+// ({"bench", "smoke", "results": [...]}) live here once so every bench
+// emits the same schema and a format tweak (a new top-level field, say)
+// lands everywhere at once.
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
+#include <initializer_list>
+#include <limits>
 #include <string>
 #include <vector>
+
+#include "util/timer.hpp"
 
 namespace ranm::benchutil {
 
@@ -18,6 +25,40 @@ namespace ranm::benchutil {
 inline bool smoke_mode() {
   const char* env = std::getenv("RANM_SMOKE");
   return env != nullptr && env[0] != '\0' && env[0] != '0';
+}
+
+/// Timing rounds per row (fewer when a row has fewer repetitions).
+inline constexpr std::size_t kTimingRounds = 9;
+
+/// Nanoseconds per sample of each arm; `arm(n)` runs n repetitions of
+/// `samples_per_rep` samples. The `reps` repetitions are split into
+/// kTimingRounds blocks, and the arms take turns block by block, so slow
+/// drift (clock frequency, neighbouring load) hits every arm alike. Each
+/// arm reports its fastest block: one block timed whole let a single
+/// interruption move a row by 20-30% between runs of the same code. One
+/// untimed repetition per arm warms up first.
+inline std::vector<double> time_interleaved(
+    std::size_t reps, std::size_t samples_per_rep,
+    std::initializer_list<std::function<void(std::size_t)>> arms) {
+  const std::size_t rounds =
+      std::min(kTimingRounds, std::max<std::size_t>(reps, 1));
+  const std::size_t block = std::max<std::size_t>(reps / rounds, 1);
+  for (const auto& arm : arms) arm(1);
+  std::vector<double> best(arms.size(),
+                           std::numeric_limits<double>::infinity());
+  for (std::size_t r = 0; r < rounds; ++r) {
+    std::size_t k = 0;
+    for (const auto& arm : arms) {
+      const Timer timer;
+      arm(block);
+      best[k] = std::min(best[k], timer.seconds());
+      ++k;
+    }
+  }
+  for (double& b : best) {
+    b = b * 1e9 / double(block) / double(samples_per_rep);
+  }
+  return best;
 }
 
 /// Writes the per-PR report: each entry of `rows` is one pre-rendered

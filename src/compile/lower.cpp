@@ -7,7 +7,6 @@
 #include "core/box_cluster_monitor.hpp"
 #include "core/interval_monitor.hpp"
 #include "core/minmax_monitor.hpp"
-#include "core/onoff_monitor.hpp"
 #include "core/sharded_monitor.hpp"
 #include "core/threshold_spec.hpp"
 #include "util/thread_pool.hpp"
@@ -212,10 +211,6 @@ CompiledUnit lower_flat(const Monitor& monitor, std::size_t cube_limit) {
       }
     }
     return unit;
-  }
-  if (const auto* oo = dynamic_cast<const OnOffMonitor*>(&monitor)) {
-    return lower_bdd_set(oo->manager(), oo->root(), oo->slot_of_level(),
-                         oo->spec(), cube_limit);
   }
   if (const auto* iv = dynamic_cast<const IntervalMonitor*>(&monitor)) {
     return lower_bdd_set(iv->manager(), iv->root(), iv->slot_of_level(),

@@ -29,7 +29,7 @@ struct CompileOptions {
 };
 
 /// Lowers a frozen monitor into its compiled form. Supported sources:
-/// MinMaxMonitor, OnOffMonitor, IntervalMonitor, BoxClusterMonitor
+/// MinMaxMonitor, IntervalMonitor (on-off at 1 bit), BoxClusterMonitor
 /// (finalized), and ShardedMonitor over those. Throws
 /// std::invalid_argument on an unsupported source and std::logic_error on
 /// an unfinalized box-cluster.

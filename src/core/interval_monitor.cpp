@@ -31,6 +31,12 @@ void IntervalMonitor::refresh_order_tables() {
     slot_of_level_[lvl] = static_cast<std::uint32_t>(s);
   }
   const std::size_t nbits = spec_.bits();
+  level_bit_.resize(vars_.size());
+  for (std::size_t lvl = 0; lvl < vars_.size(); ++lvl) {
+    const std::size_t s = slot_of_level_[lvl];
+    level_bit_[lvl] = {static_cast<std::uint32_t>(s / nbits),
+                       static_cast<std::uint32_t>(nbits - 1 - s % nbits)};
+  }
   build_order_.resize(dimension());
   for (std::size_t j = 0; j < dimension(); ++j) {
     build_order_[j] = static_cast<std::uint32_t>(j);
@@ -120,17 +126,23 @@ void IntervalMonitor::observe_bounds(std::span<const float> lo,
   set_ = mgr_.or_(set_, word);
 }
 
-void IntervalMonitor::fill_assignment(std::span<const float> feature,
-                                      std::vector<bool>& assignment) const {
+std::vector<bool> IntervalMonitor::assignment(
+    std::span<const float> feature) const {
   const std::size_t nbits = spec_.bits();
-  assignment.assign(dimension() * nbits, false);
+  std::vector<bool> out(dimension() * nbits);
+  if (nbits == 1) {
+    for (std::size_t j = 0; j < dimension(); ++j) {
+      out[vars_[j]] = spec_.code(j, feature[j]) != 0;
+    }
+    return out;
+  }
   for (std::size_t j = 0; j < dimension(); ++j) {
     const std::uint64_t code = spec_.code(j, feature[j]);
     for (std::size_t b = 0; b < nbits; ++b) {
-      assignment[vars_[j * nbits + b]] =
-          ((code >> (nbits - 1 - b)) & 1ULL) != 0;
+      out[vars_[j * nbits + b]] = ((code >> (nbits - 1 - b)) & 1ULL) != 0;
     }
   }
+  return out;
 }
 
 void IntervalMonitor::fill_bit_matrix(const FeatureBatch& batch,
@@ -138,6 +150,20 @@ void IntervalMonitor::fill_bit_matrix(const FeatureBatch& batch,
   const std::size_t n = batch.size();
   const std::size_t nbits = spec_.bits();
   bits.resize(dimension() * nbits * n);
+  if (nbits == 1) {
+    // One threshold per neuron: compare straight into its level row.
+    for (std::size_t j = 0; j < dimension(); ++j) {
+      const Threshold t = spec_.thresholds(j).front();
+      const auto row = batch.neuron(j);
+      std::uint8_t* dst = bits.data() + std::size_t(vars_[j]) * n;
+      if (t.inclusive_below) {
+        for (std::size_t i = 0; i < n; ++i) dst[i] = row[i] > t.value ? 1 : 0;
+      } else {
+        for (std::size_t i = 0; i < n; ++i) dst[i] = row[i] >= t.value ? 1 : 0;
+      }
+    }
+    return;
+  }
   std::vector<std::uint32_t> codes(n);
   for (std::size_t j = 0; j < dimension(); ++j) {
     // Threshold-major code sweep over the contiguous batch row. Because
@@ -217,18 +243,14 @@ void IntervalMonitor::contains_batch(const FeatureBatch& batch,
   if (n < bdd::kMinBatchWalk) {
     // Matrix setup would dominate; walk the BDD per sample instead,
     // coding neurons lazily as their bit variables are visited.
-    const std::size_t nbits = spec_.bits();
     std::vector<float> sample(dimension());
     for (std::size_t i = 0; i < n; ++i) {
       batch.copy_sample(i, sample);
-      out[i] = mgr_.eval_with(
-          set_, [this, &sample, nbits](std::uint32_t var) {
-            const std::size_t slot = slot_of_level_[var];
-            const std::size_t j = slot / nbits;
-            const std::size_t b = slot % nbits;
-            const std::uint64_t code = spec_.code(j, sample[j]);
-            return ((code >> (nbits - 1 - b)) & 1ULL) != 0;
-          });
+      out[i] = mgr_.eval_with(set_, [this, &sample](std::uint32_t var) {
+        const LevelBit lb = level_bit_[var];
+        const std::uint64_t code = spec_.code(lb.neuron, sample[lb.neuron]);
+        return ((code >> lb.shift) & 1ULL) != 0;
+      });
     }
     return;
   }
@@ -248,12 +270,17 @@ bool IntervalMonitor::contains(std::span<const float> feature) const {
     throw std::invalid_argument(
         "IntervalMonitor::contains: dimension mismatch");
   }
-  std::vector<bool> assignment;
-  fill_assignment(feature, assignment);
-  return mgr_.eval(set_, assignment);
+  return mgr_.eval(set_, assignment(feature));
 }
 
 std::string IntervalMonitor::describe() const {
+  // Compiled artifacts store this string, so the 1-bit text stays the
+  // on-off monitor's.
+  if (spec_.bits() == 1) {
+    return "OnOffMonitor(d=" + std::to_string(dimension()) +
+           ", patterns=" + std::to_string(pattern_count()) +
+           ", bdd_nodes=" + std::to_string(bdd_node_count()) + ")";
+  }
   return "IntervalMonitor(d=" + std::to_string(dimension()) +
          ", bits=" + std::to_string(spec_.bits()) +
          ", patterns=" + std::to_string(pattern_count()) +
@@ -272,6 +299,16 @@ std::vector<std::uint64_t> IntervalMonitor::codes(
   return out;
 }
 
+void IntervalMonitor::enlarge_hamming(unsigned radius) {
+  std::vector<std::uint32_t> all(vars_.size());
+  for (std::size_t v = 0; v < all.size(); ++v) {
+    all[v] = static_cast<std::uint32_t>(v);
+  }
+  for (unsigned r = 0; r < radius; ++r) {
+    set_ = mgr_.hamming_expand(set_, all);
+  }
+}
+
 std::optional<unsigned> IntervalMonitor::hamming_distance(
     std::span<const float> feature, unsigned max_radius) const {
   if (feature.size() != dimension()) {
@@ -279,9 +316,7 @@ std::optional<unsigned> IntervalMonitor::hamming_distance(
         "IntervalMonitor::hamming_distance: dimension mismatch");
   }
   if (set_ == bdd::kFalse) return std::nullopt;
-  std::vector<bool> assignment;
-  fill_assignment(feature, assignment);
-  const auto d = mgr_.min_hamming_distance(set_, assignment);
+  const auto d = mgr_.min_hamming_distance(set_, assignment(feature));
   if (!d || *d > max_radius) return std::nullopt;
   return *d;
 }

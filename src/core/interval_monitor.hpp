@@ -1,6 +1,12 @@
 // Interval activation monitor (paper §III-C): each neuron is monitored
 // with B bits encoding which of 2^B threshold buckets its value falls in.
 // Generalises both the min-max monitor and the on-off monitor (footnote 3).
+// At B = 1 it *is* the on-off monitor (§III-A second bullet, ref [1]):
+// one threshold c_j per neuron, b_j = 1 iff v_j > c_j. There is no
+// separate on-off class; build one from a 1-bit spec such as
+// ThresholdSpec::onoff or ThresholdSpec::from_means. A 1-bit monitor
+// describes itself as "OnOffMonitor(...)" and saves under the on-off
+// artifact tags, so on-off artifacts keep their historical bytes.
 //
 // Robust construction (§III-C.2) maps the conservative bound [l_j, u_j] to
 // the *set* of codes it straddles. Because codes are monotone in the
@@ -52,9 +58,17 @@ class IntervalMonitor final : public Monitor {
   void contains_batch(const FeatureBatch& batch,
                       std::span<bool> out) const override;
 
-  /// The code word ab(v): one code per neuron.
+  /// The code word ab(v): one code per neuron (at 1 bit, the Boolean
+  /// on-off pattern).
   [[nodiscard]] std::vector<std::uint64_t> codes(
       std::span<const float> feature) const;
+
+  /// Enlarges the stored set to all words within Hamming distance
+  /// `radius` (in code bits, over every BDD variable) of a stored word —
+  /// the false-positive mitigation of ref [1], the baseline the robust
+  /// construction is compared against. The expanded BDD can grow
+  /// combinatorially; keep the radius small.
+  void enlarge_hamming(unsigned radius);
 
   /// Quantitative score: smallest Hamming distance (in code *bits*) from
   /// the feature's code word to any stored word, capped at `max_radius`.
@@ -117,14 +131,21 @@ class IntervalMonitor final : public Monitor {
       std::size_t j) const noexcept {
     return {vars_.data() + j * spec_.bits(), spec_.bits()};
   }
-  void fill_assignment(std::span<const float> feature,
-                       std::vector<bool>& assignment) const;
+  /// BDD variable values of a feature, indexed by level.
+  [[nodiscard]] std::vector<bool> assignment(
+      std::span<const float> feature) const;
   /// bits[v * n + i] = value of BDD variable v for sample i.
   void fill_bit_matrix(const FeatureBatch& batch,
                        std::vector<std::uint8_t>& bits) const;
 
-  /// Recomputes slot_of_level_ and build_order_ from vars_.
+  /// Recomputes slot_of_level_, level_bit_ and build_order_ from vars_.
   void refresh_order_tables();
+
+  /// The neuron a BDD level reads and the shift of its bit in the code.
+  struct LevelBit {
+    std::uint32_t neuron;
+    std::uint32_t shift;
+  };
 
   ThresholdSpec spec_;
   bdd::BddManager mgr_;
@@ -134,6 +155,9 @@ class IntervalMonitor final : public Monitor {
   std::vector<std::uint32_t> vars_;
   /// Inverse of vars_.
   std::vector<std::uint32_t> slot_of_level_;
+  /// Per level: the neuron and code bit decided there, so the lazy
+  /// per-sample walk does no division by bits().
+  std::vector<LevelBit> level_bit_;
   /// Neurons sorted by descending topmost level, so bound insertion
   /// conjoins from the bottom of the order upward (touching only
   /// already-built structure) under any variable order.

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <memory>
 #include <stdexcept>
+#include <utility>
 
 namespace ranm {
 
@@ -84,21 +85,22 @@ template <typename Visit>
 void MultiLayerMonitor::for_each_layer_features_batch(
     std::span<const Tensor> inputs, Visit&& visit) const {
   const std::size_t n = inputs.size();
-  // One traversal of the shared layer prefix for the whole batch: the
-  // per-layer activations are kept per sample, and each attached layer
-  // gets its selection projected straight into a dim × n FeatureBatch.
-  std::vector<Tensor> acts(inputs.begin(), inputs.end());
+  // One batched traversal of the shared layer prefix: each layer runs its
+  // forward_batch kernel once over the neuron-major activations, and each
+  // attached layer gets its selection copied row by row into a dim × n
+  // FeatureBatch. Callers pass n >= 1.
+  FeatureBatch acts = net_.forward_batch(0, inputs);
+  FeatureBatch next;
   for (std::size_t k = 1; k <= max_layer_; ++k) {
-    Layer& layer = net_.layer(k);
-    for (std::size_t i = 0; i < n; ++i) acts[i] = layer.forward(acts[i]);
+    net_.layer(k).forward_batch(acts, next);
+    std::swap(acts, next);
     for (const Entry& e : entries_) {
       if (e.layer_k != k) continue;
       FeatureBatch batch(e.selection.output_dim(), n);
       const auto& kept = e.selection.kept();
       for (std::size_t jj = 0; jj < kept.size(); ++jj) {
-        const auto row = batch.neuron(jj);
-        const std::size_t src = kept[jj];
-        for (std::size_t i = 0; i < n; ++i) row[i] = acts[i][src];
+        const auto src = acts.neuron(kept[jj]);
+        std::copy(src.begin(), src.end(), batch.neuron(jj).begin());
       }
       visit(e, batch);
     }

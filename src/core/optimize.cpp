@@ -10,7 +10,6 @@
 
 #include "bdd/reorder.hpp"
 #include "core/interval_monitor.hpp"
-#include "core/onoff_monitor.hpp"
 #include "core/sharded_monitor.hpp"
 #include "util/thread_pool.hpp"
 
@@ -27,8 +26,7 @@ std::uint64_t splitmix64(std::uint64_t& state) {
 
 /// Runs the workload through the monitor with fresh hit counters, so the
 /// counts describe exactly this workload against the current structure.
-template <typename M>
-void profile_workload(M& m, const FeatureBatch& workload) {
+void profile_workload(IntervalMonitor& m, const FeatureBatch& workload) {
   m.manager().reset_profile();
   m.set_profiling(true);
   const std::size_t n = workload.size();
@@ -43,8 +41,7 @@ void profile_workload(M& m, const FeatureBatch& workload) {
 /// Bits of one neuron stay adjacent, MSB first. Returns the
 /// target_level_of_var permutation for ReorderEngine::set_order, or empty
 /// when the seed coincides with the current order.
-template <typename M>
-std::vector<std::uint32_t> greedy_seed_order(const M& m) {
+std::vector<std::uint32_t> greedy_seed_order(const IntervalMonitor& m) {
   const std::size_t d = m.dimension();
   const std::size_t bits = m.spec().bits();
   const auto vars = m.variable_order();  // level_of_slot
@@ -89,8 +86,7 @@ std::vector<std::uint32_t> greedy_seed_order(const M& m) {
 
 /// Deterministic concrete membership probes complementing the field
 /// identity test: both BDDs must agree on random 0/1 slot assignments.
-template <typename M>
-bool probes_agree(const M& m, const bdd::BddManager& dst,
+bool probes_agree(const IntervalMonitor& m, const bdd::BddManager& dst,
                   bdd::NodeRef new_root,
                   std::span<const std::uint32_t> new_slot_of_level,
                   std::uint64_t seed) {
@@ -124,8 +120,7 @@ bool probes_agree(const M& m, const bdd::BddManager& dst,
 /// change; the function, the variable order, and the profile counters
 /// (transferred node-by-node) do not. Deterministic: ties in hotness
 /// break by node ref.
-template <typename M>
-void relayout_by_heat(M& m) {
+void relayout_by_heat(IntervalMonitor& m) {
   const auto& mgr = m.manager();
   const bdd::NodeRef root = m.root();
   if (root == bdd::kFalse || root == bdd::kTrue) return;
@@ -202,8 +197,8 @@ void relayout_by_heat(M& m) {
 }
 
 /// The per-BDD pass: profile → seed → sift → rebuild → verify → adopt.
-template <typename M>
-ShardOptimizeReport optimize_flat(M& m, const FeatureBatch* workload,
+ShardOptimizeReport optimize_flat(IntervalMonitor& m,
+                                  const FeatureBatch* workload,
                                   const OptimizeOptions& opts) {
   ShardOptimizeReport rep;
   rep.nodes_before = m.bdd_node_count();
@@ -266,9 +261,6 @@ ShardOptimizeReport optimize_flat(M& m, const FeatureBatch* workload,
 
 ShardOptimizeReport optimize_one(Monitor& m, const FeatureBatch* workload,
                                  const OptimizeOptions& opts) {
-  if (auto* oo = dynamic_cast<OnOffMonitor*>(&m)) {
-    return optimize_flat(*oo, workload, opts);
-  }
   if (auto* iv = dynamic_cast<IntervalMonitor*>(&m)) {
     return optimize_flat(*iv, workload, opts);
   }

@@ -61,7 +61,7 @@ struct OptimizeReport {
 };
 
 /// Optimizes a monitor in place (see file comment). Supported families:
-/// OnOffMonitor, IntervalMonitor, and ShardedMonitor over those; other
+/// IntervalMonitor (on-off at 1 bit) and ShardedMonitor over it; other
 /// families (min-max) have no BDD and return a zero report unchanged.
 /// Throws std::invalid_argument on a workload whose dimension does not
 /// match the monitor, std::runtime_error if a rebuilt BDD fails the

@@ -45,10 +45,8 @@ class ShardedMonitor final : public Monitor {
   /// S independent per-shard min-max envelopes (exactly equivalent to the
   /// unsharded MinMaxMonitor for any plan).
   [[nodiscard]] static ShardedMonitor minmax(ShardPlan plan);
-  /// Per-shard OnOffMonitors over slices of a full-dimension 1-bit spec.
-  [[nodiscard]] static ShardedMonitor onoff(ShardPlan plan,
-                                            const ThresholdSpec& spec);
-  /// Per-shard IntervalMonitors over slices of a full-dimension spec.
+  /// Per-shard IntervalMonitors over slices of a full-dimension spec
+  /// (on-off shards for a 1-bit spec such as ThresholdSpec::from_means).
   [[nodiscard]] static ShardedMonitor interval(ShardPlan plan,
                                                const ThresholdSpec& spec);
 

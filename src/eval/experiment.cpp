@@ -5,7 +5,6 @@
 
 #include "core/interval_monitor.hpp"
 #include "core/minmax_monitor.hpp"
-#include "core/onoff_monitor.hpp"
 #include "core/sharded_monitor.hpp"
 #include "core/threshold_spec.hpp"
 #include "nn/init.hpp"
@@ -129,7 +128,7 @@ std::unique_ptr<Monitor> make_monitor(const MonitorOptions& opts,
       case MonitorFamily::kMinMax:
         return std::make_unique<MinMaxMonitor>(dim);
       case MonitorFamily::kOnOff:
-        return std::make_unique<OnOffMonitor>(
+        return std::make_unique<IntervalMonitor>(
             ThresholdSpec::from_means(stats));
       case MonitorFamily::kInterval:
         return std::make_unique<IntervalMonitor>(
@@ -146,7 +145,7 @@ std::unique_ptr<Monitor> make_monitor(const MonitorOptions& opts,
           ShardedMonitor::minmax(std::move(plan)));
       break;
     case MonitorFamily::kOnOff:
-      monitor = std::make_unique<ShardedMonitor>(ShardedMonitor::onoff(
+      monitor = std::make_unique<ShardedMonitor>(ShardedMonitor::interval(
           std::move(plan), ThresholdSpec::from_means(stats)));
       break;
     case MonitorFamily::kInterval:

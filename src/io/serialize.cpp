@@ -329,9 +329,8 @@ MinMaxMonitor load_minmax_body(std::istream& in) {
 }
 
 /// Writes the V2 extras (flags, optional order, BDD, optional profile
-/// counts) shared by both BDD-backed monitor families.
-template <typename M>
-void save_bdd_monitor_v2(std::ostream& out, const M& monitor) {
+/// counts).
+void save_bdd_monitor_v2(std::ostream& out, const IntervalMonitor& monitor) {
   const bool has_order = monitor.has_custom_order();
   const bool has_profile = monitor.profile_queries() > 0;
   const std::uint32_t flags = (has_order ? kFlagOrder : 0U) |
@@ -355,12 +354,10 @@ void save_bdd_monitor_v2(std::ostream& out, const M& monitor) {
 }
 
 /// Loads the V2 extras into a freshly constructed (still empty) monitor.
-template <typename M>
-void load_bdd_monitor_v2_body(std::istream& in, M& monitor,
-                              const char* what) {
+void load_bdd_monitor_v2_body(std::istream& in, IntervalMonitor& monitor) {
   const auto flags = read_pod<std::uint32_t>(in);
   if ((flags & ~(kFlagOrder | kFlagProfile)) != 0) {
-    throw std::runtime_error(std::string(what) + ": unknown flags");
+    throw std::runtime_error("load_interval_monitor: unknown flags");
   }
   if ((flags & kFlagOrder) != 0) {
     std::vector<std::uint32_t> order(monitor.variable_order().size());
@@ -368,7 +365,8 @@ void load_bdd_monitor_v2_body(std::istream& in, M& monitor,
     try {
       monitor.apply_variable_order(std::move(order));
     } catch (const std::invalid_argument& e) {
-      throw std::runtime_error(std::string(what) + ": " + e.what());
+      throw std::runtime_error(std::string("load_interval_monitor: ") +
+                               e.what());
     }
   }
   const bdd::LoadedBdd loaded = bdd::load_bdd_nodes(in, monitor.manager());
@@ -381,20 +379,25 @@ void load_bdd_monitor_v2_body(std::istream& in, M& monitor,
   }
 }
 
-OnOffMonitor load_onoff_body(std::istream& in, bool v2) {
-  OnOffMonitor monitor(load_threshold_spec(in));
-  if (v2) {
-    load_bdd_monitor_v2_body(in, monitor, "load_onoff_monitor");
-  } else {
-    monitor.set_root(bdd::load_bdd(in, monitor.manager()));
-  }
-  return monitor;
+bool is_onoff_tag(MonitorTag tag) {
+  return tag == MonitorTag::kOnOff || tag == MonitorTag::kOnOffV2;
 }
 
-IntervalMonitor load_interval_body(std::istream& in, bool v2) {
-  IntervalMonitor monitor(load_threshold_spec(in));
-  if (v2) {
-    load_bdd_monitor_v2_body(in, monitor, "load_interval_monitor");
+bool is_v2_tag(MonitorTag tag) {
+  return tag == MonitorTag::kOnOffV2 || tag == MonitorTag::kIntervalV2;
+}
+
+/// Body of any of the four BDD monitor tags. The on-off tags carry a
+/// 1-bit spec; any other width under them is a corrupt stream.
+IntervalMonitor load_interval_body(std::istream& in, MonitorTag tag) {
+  ThresholdSpec spec = load_threshold_spec(in);
+  if (is_onoff_tag(tag) && spec.bits() != 1) {
+    throw std::runtime_error(
+        "load_interval_monitor: on-off tag with a multi-bit threshold spec");
+  }
+  IntervalMonitor monitor(std::move(spec));
+  if (is_v2_tag(tag)) {
+    load_bdd_monitor_v2_body(in, monitor);
   } else {
     monitor.set_root(bdd::load_bdd(in, monitor.manager()));
   }
@@ -412,17 +415,15 @@ MonitorTag read_monitor_header(std::istream& in) {
 /// header word has already been consumed). The single switch serving
 /// every flat-monitor entry point.
 std::unique_ptr<Monitor> load_tagged_monitor_body(std::istream& in) {
-  switch (read_pod<MonitorTag>(in)) {
+  const auto tag = read_pod<MonitorTag>(in);
+  switch (tag) {
     case MonitorTag::kMinMax:
       return std::make_unique<MinMaxMonitor>(load_minmax_body(in));
     case MonitorTag::kOnOff:
-      return std::make_unique<OnOffMonitor>(load_onoff_body(in, false));
     case MonitorTag::kInterval:
-      return std::make_unique<IntervalMonitor>(load_interval_body(in, false));
     case MonitorTag::kOnOffV2:
-      return std::make_unique<OnOffMonitor>(load_onoff_body(in, true));
     case MonitorTag::kIntervalV2:
-      return std::make_unique<IntervalMonitor>(load_interval_body(in, true));
+      return std::make_unique<IntervalMonitor>(load_interval_body(in, tag));
   }
   throw std::runtime_error("load monitor: unknown monitor tag");
 }
@@ -491,46 +492,29 @@ MinMaxMonitor load_minmax_monitor(std::istream& in) {
   return load_minmax_body(in);
 }
 
-void save_monitor(std::ostream& out, const OnOffMonitor& monitor) {
-  write_pod(out, kMonMagic);
-  if (monitor.has_custom_order() || monitor.profile_queries() > 0) {
-    write_pod(out, MonitorTag::kOnOffV2);
-    save_threshold_spec(out, monitor.spec());
-    save_bdd_monitor_v2(out, monitor);
-    return;
-  }
-  write_pod(out, MonitorTag::kOnOff);
-  save_threshold_spec(out, monitor.spec());
-  (void)bdd::save_bdd(out, monitor.manager(), monitor.root());
-}
-
-OnOffMonitor load_onoff_monitor(std::istream& in) {
-  const MonitorTag tag = read_monitor_header(in);
-  if (tag != MonitorTag::kOnOff && tag != MonitorTag::kOnOffV2) {
-    throw std::runtime_error("load_onoff_monitor: bad header");
-  }
-  return load_onoff_body(in, tag == MonitorTag::kOnOffV2);
-}
-
 void save_monitor(std::ostream& out, const IntervalMonitor& monitor) {
+  // A 1-bit monitor is the on-off monitor and keeps its tags.
+  const bool onoff = monitor.bits() == 1;
+  const bool v2 = monitor.has_custom_order() || monitor.profile_queries() > 0;
   write_pod(out, kMonMagic);
-  if (monitor.has_custom_order() || monitor.profile_queries() > 0) {
-    write_pod(out, MonitorTag::kIntervalV2);
+  if (v2) {
+    write_pod(out, onoff ? MonitorTag::kOnOffV2 : MonitorTag::kIntervalV2);
     save_threshold_spec(out, monitor.spec());
     save_bdd_monitor_v2(out, monitor);
     return;
   }
-  write_pod(out, MonitorTag::kInterval);
+  write_pod(out, onoff ? MonitorTag::kOnOff : MonitorTag::kInterval);
   save_threshold_spec(out, monitor.spec());
   (void)bdd::save_bdd(out, monitor.manager(), monitor.root());
 }
 
 IntervalMonitor load_interval_monitor(std::istream& in) {
   const MonitorTag tag = read_monitor_header(in);
-  if (tag != MonitorTag::kInterval && tag != MonitorTag::kIntervalV2) {
+  if (!is_onoff_tag(tag) && tag != MonitorTag::kInterval &&
+      tag != MonitorTag::kIntervalV2) {
     throw std::runtime_error("load_interval_monitor: bad header");
   }
-  return load_interval_body(in, tag == MonitorTag::kIntervalV2);
+  return load_interval_body(in, tag);
 }
 
 void save_monitor(std::ostream& out, const ShardedMonitor& monitor) {
@@ -568,8 +552,6 @@ ShardedMonitor load_sharded_monitor(std::istream& in) {
 void save_any_monitor(std::ostream& out, const Monitor& monitor) {
   if (const auto* mm = dynamic_cast<const MinMaxMonitor*>(&monitor)) {
     save_monitor(out, *mm);
-  } else if (const auto* oo = dynamic_cast<const OnOffMonitor*>(&monitor)) {
-    save_monitor(out, *oo);
   } else if (const auto* iv =
                  dynamic_cast<const IntervalMonitor*>(&monitor)) {
     save_monitor(out, *iv);

@@ -13,7 +13,6 @@
 
 #include "core/interval_monitor.hpp"
 #include "core/minmax_monitor.hpp"
-#include "core/onoff_monitor.hpp"
 #include "core/sharded_monitor.hpp"
 #include "data/dataset.hpp"
 #include "nn/network.hpp"
@@ -41,9 +40,9 @@ void save_threshold_spec(std::ostream& out, const ThresholdSpec& spec);
 void save_monitor(std::ostream& out, const MinMaxMonitor& monitor);
 [[nodiscard]] MinMaxMonitor load_minmax_monitor(std::istream& in);
 
-void save_monitor(std::ostream& out, const OnOffMonitor& monitor);
-[[nodiscard]] OnOffMonitor load_onoff_monitor(std::istream& in);
-
+/// BDD pattern monitors. A 1-bit monitor (the on-off monitor) saves under
+/// the on-off tags, any wider one under the interval tags; the loader
+/// accepts all four and rejects an on-off tag over a multi-bit spec.
 void save_monitor(std::ostream& out, const IntervalMonitor& monitor);
 [[nodiscard]] IntervalMonitor load_interval_monitor(std::istream& in);
 
@@ -58,7 +57,7 @@ void save_monitor(std::ostream& out, const ShardedMonitor& monitor);
 [[nodiscard]] ShardedMonitor load_sharded_monitor(std::istream& in);
 
 /// Type-erased save: dispatches on the monitor's dynamic type.
-/// Supported: MinMaxMonitor, OnOffMonitor, IntervalMonitor,
+/// Supported: MinMaxMonitor, IntervalMonitor (on-off at 1 bit),
 /// ShardedMonitor, and compile::CompiledMonitor (as an RCM1 artifact).
 /// Throws std::invalid_argument for other types (BoxClusterMonitor is a
 /// baseline that only deploys in compiled form).

@@ -14,7 +14,6 @@
 #include "core/minmax_monitor.hpp"
 #include "core/monitor_builder.hpp"
 #include "core/multi_layer_monitor.hpp"
-#include "core/onoff_monitor.hpp"
 #include "nn/init.hpp"
 #include "util/rng.hpp"
 
@@ -83,8 +82,8 @@ TEST(BatchQuery, OnOffStandardAndRobustMatchScalar) {
   Rng rng(202);
   for (int trial = 0; trial < 5; ++trial) {
     const std::size_t dim = 1 + rng.below(10);
-    OnOffMonitor standard(random_spec(dim, 1, rng));
-    OnOffMonitor robust(random_spec(dim, 1, rng));
+    IntervalMonitor standard(random_spec(dim, 1, rng));
+    IntervalMonitor robust(random_spec(dim, 1, rng));
     for (int s = 0; s < 15; ++s) {
       const auto v = random_feature(dim, rng);
       standard.observe(v);
@@ -127,7 +126,7 @@ TEST(BatchQuery, IntervalStandardAndRobustMatchScalar) {
 
 TEST(BatchQuery, EmptyBddSetNeverContains) {
   Rng rng(99);
-  OnOffMonitor m(random_spec(4, 1, rng));  // nothing observed
+  IntervalMonitor m(random_spec(4, 1, rng));  // nothing observed
   check_all_batch_sizes(m, rng, "onoff empty set");
 }
 
@@ -313,7 +312,7 @@ TEST(BatchQuery, NanFeaturesMatchScalarSemantics) {
   MinMaxMonitor minmax(2);
   minmax.observe(std::vector<float>{0.0F, 0.0F});
   minmax.observe(std::vector<float>{1.0F, 1.0F});
-  OnOffMonitor onoff(random_spec(2, 1, rng));
+  IntervalMonitor onoff(random_spec(2, 1, rng));
   onoff.observe(std::vector<float>{0.5F, 0.5F});
   IntervalMonitor interval(random_spec(2, 2, rng));
   interval.observe(std::vector<float>{0.5F, 0.5F});
@@ -345,7 +344,7 @@ TEST(BatchQuery, DefaultConstructedEmptyBatchIsANoOpQuery) {
   Rng rng(4321);
   MinMaxMonitor minmax(3);
   minmax.observe(std::vector<float>{0.0F, 0.0F, 0.0F});
-  OnOffMonitor onoff(random_spec(3, 1, rng));
+  IntervalMonitor onoff(random_spec(3, 1, rng));
   BoxClusterMonitor boxes(3, 1);
   boxes.observe(std::vector<float>{0.0F, 0.0F, 0.0F});
   Rng cluster_rng(7);
@@ -387,7 +386,7 @@ TEST(BoundsPrecondition, ViolatedBoundIsCaughtByEveryMonitor) {
   EXPECT_THROW(minmax.observe_bounds(lo, hi), std::invalid_argument);
 
   Rng rng(5);
-  OnOffMonitor onoff(random_spec(2, 1, rng));
+  IntervalMonitor onoff(random_spec(2, 1, rng));
   EXPECT_THROW(onoff.observe_bounds(lo, hi), std::invalid_argument);
 
   IntervalMonitor interval(random_spec(2, 2, rng));

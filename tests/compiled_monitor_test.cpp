@@ -22,7 +22,6 @@
 #include "core/interval_monitor.hpp"
 #include "core/minmax_monitor.hpp"
 #include "core/neuron_stats.hpp"
-#include "core/onoff_monitor.hpp"
 #include "core/sharded_monitor.hpp"
 #include "util/rng.hpp"
 
@@ -119,7 +118,7 @@ std::unique_ptr<Monitor> build_flat(Family family, std::size_t dim,
       monitor = std::make_unique<MinMaxMonitor>(dim);
       break;
     case Family::kOnOff:
-      monitor = std::make_unique<OnOffMonitor>(random_spec(dim, 1, rng));
+      monitor = std::make_unique<IntervalMonitor>(random_spec(dim, 1, rng));
       break;
     case Family::kInterval:
       monitor = std::make_unique<IntervalMonitor>(random_spec(dim, 2, rng));
@@ -181,7 +180,7 @@ TEST(CompiledMonitor, ShardedMatchesBitForBit) {
         ShardedMonitor interpreted =
             family == 0 ? ShardedMonitor::minmax(plan)
             : family == 1
-                ? ShardedMonitor::onoff(plan, random_spec(dim, 1, rng))
+                ? ShardedMonitor::interval(plan, random_spec(dim, 1, rng))
                 : ShardedMonitor::interval(plan, random_spec(dim, 2, rng));
         std::vector<std::vector<float>> stored;
         observe_all(interpreted, dim, robust, rng, stored);

@@ -2,10 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "core/neuron_stats.hpp"
-
 #include "core/minmax_monitor.hpp"
-#include "core/onoff_monitor.hpp"
+#include "core/neuron_stats.hpp"
 #include "util/rng.hpp"
 
 namespace ranm {
@@ -123,7 +121,7 @@ TEST(IntervalMonitor, GeneralisesOnOffMonitor) {
                                             std::vector<float>(d, 0.0F),
                                             std::vector<float>(d, big));
   IntervalMonitor im(std::move(spec2));
-  OnOffMonitor om(ThresholdSpec::onoff(std::vector<float>(d, 0.0F)));
+  IntervalMonitor om(ThresholdSpec::onoff(std::vector<float>(d, 0.0F)));
   // NOTE: on-off uses v > c; the 2-bit bucket [c2, c3] uses v >= c2, so
   // agreement holds for values != 0, which random floats are a.s.
   std::vector<std::vector<float>> data;
@@ -233,6 +231,71 @@ TEST(IntervalMonitor, HammingDistanceZeroIffContained) {
     const auto d = m.hamming_distance(probe, 6);
     EXPECT_EQ(d.has_value() && *d == 0, m.contains(probe));
   }
+}
+
+/// A value of neuron j that `spec` codes to `code`.
+float value_for_code(const ThresholdSpec& spec, std::size_t j,
+                     std::uint64_t code) {
+  const auto ts = spec.thresholds(j);
+  if (code == 0) return ts.front().value - 1.0F;
+  if (code == ts.size()) return ts.back().value + 1.0F;
+  return 0.5F * (ts[code - 1].value + ts[code].value);
+}
+
+/// Three random words plus one robust box (don't-cares on odd neurons).
+IntervalMonitor small_monitor(const ThresholdSpec& spec, std::uint64_t seed) {
+  const std::size_t d = spec.dimension();
+  Rng rng(seed);
+  IntervalMonitor m(spec);
+  for (int i = 0; i < 3; ++i) {
+    std::vector<float> v(d);
+    for (auto& x : v) x = rng.uniform_f(-2, 2);
+    m.observe(v);
+  }
+  std::vector<float> lo(d), hi(d);
+  for (std::size_t j = 0; j < d; ++j) {
+    lo[j] = rng.uniform_f(-2, 1);
+    hi[j] = j % 2 == 0 ? lo[j] : lo[j] + 1.0F;
+  }
+  m.observe_bounds(lo, hi);
+  return m;
+}
+
+/// Over every code word: after enlarge_hamming(r) the monitor contains a
+/// word exactly when the original set holds a word within r code bits.
+void expect_enlarge_matches_brute_force(const ThresholdSpec& spec,
+                                        std::uint64_t seed) {
+  const std::size_t d = spec.dimension();
+  const std::size_t levels = std::size_t(1) << spec.bits();
+  std::size_t words = 1;
+  for (std::size_t j = 0; j < d; ++j) words *= levels;
+  const IntervalMonitor original = small_monitor(spec, seed);
+  for (unsigned r = 0; r <= 3; ++r) {
+    IntervalMonitor enlarged = small_monitor(spec, seed);
+    enlarged.enlarge_hamming(r);
+    std::vector<float> feature(d);
+    for (std::size_t w = 0; w < words; ++w) {
+      std::size_t rest = w;
+      for (std::size_t j = 0; j < d; ++j) {
+        feature[j] = value_for_code(spec, j, rest % levels);
+        rest /= levels;
+      }
+      ASSERT_EQ(enlarged.contains(feature),
+                original.hamming_distance(feature, r).has_value())
+          << "bits=" << spec.bits() << " r=" << r << " word=" << w;
+    }
+  }
+}
+
+TEST(IntervalMonitor, EnlargeHammingMatchesBruteForceOneBit) {
+  expect_enlarge_matches_brute_force(
+      ThresholdSpec::onoff(std::vector<float>{-0.5F, 0.0F, 0.5F, 0.0F,
+                                              -1.0F, 1.0F}),
+      41);
+}
+
+TEST(IntervalMonitor, EnlargeHammingMatchesBruteForceTwoBit) {
+  expect_enlarge_matches_brute_force(two_bit(5), 42);
 }
 
 TEST(IntervalMonitor, DescribeMentionsBits) {

@@ -12,7 +12,6 @@
 #include "core/interval_monitor.hpp"
 #include "core/minmax_monitor.hpp"
 #include "core/monitor_builder.hpp"
-#include "core/onoff_monitor.hpp"
 #include "nn/init.hpp"
 #include "util/rng.hpp"
 
@@ -55,7 +54,7 @@ class Lemma1 : public ::testing::TestWithParam<Lemma1Case> {
     // Thresholds from the training features.
     NeuronStats stats = builder.collect_stats(train, /*keep_samples=*/true);
     MinMaxMonitor minmax(d);
-    OnOffMonitor onoff(ThresholdSpec::from_means(stats));
+    IntervalMonitor onoff(ThresholdSpec::from_means(stats));
     IntervalMonitor interval(ThresholdSpec::from_percentiles(stats, 2));
 
     builder.build_robust(minmax, train, spec);

@@ -1,7 +1,8 @@
-#include "core/onoff_monitor.hpp"
-
+// The on-off monitor is the 1-bit IntervalMonitor; these tests pin its
+// on-off semantics (paper §III-A, robust variant §III-B).
 #include <gtest/gtest.h>
 
+#include "core/interval_monitor.hpp"
 #include "core/neuron_stats.hpp"
 
 #include "util/rng.hpp"
@@ -9,17 +10,8 @@
 namespace ranm {
 namespace {
 
-OnOffMonitor sign_monitor(std::size_t dim) {
-  return OnOffMonitor(ThresholdSpec::onoff(std::vector<float>(dim, 0.0F)));
-}
-
-TEST(OnOffMonitor, RequiresOneBitSpec) {
-  const std::vector<float> c{0.0F};
-  EXPECT_THROW(OnOffMonitor(ThresholdSpec::paper_two_bit(
-                   std::vector<float>{0.0F}, std::vector<float>{1.0F},
-                   std::vector<float>{2.0F})),
-               std::invalid_argument);
-  EXPECT_NO_THROW(OnOffMonitor(ThresholdSpec::onoff(c)));
+IntervalMonitor sign_monitor(std::size_t dim) {
+  return IntervalMonitor(ThresholdSpec::onoff(std::vector<float>(dim, 0.0F)));
 }
 
 TEST(OnOffMonitor, EmptySetWarnsAlways) {
@@ -38,9 +30,9 @@ TEST(OnOffMonitor, ObservedPatternAccepted) {
 
 TEST(OnOffMonitor, PatternExtraction) {
   auto m = sign_monitor(3);
-  const auto p = m.pattern(std::vector<float>{1.0F, 0.0F, -2.0F});
+  const auto p = m.codes(std::vector<float>{1.0F, 0.0F, -2.0F});
   // v > c strictly: 0.0 at threshold 0.0 maps to 0.
-  EXPECT_EQ(p, (std::vector<bool>{true, false, false}));
+  EXPECT_EQ(p, (std::vector<std::uint64_t>{1, 0, 0}));
 }
 
 TEST(OnOffMonitor, RobustBoundsInsertDontCares) {
@@ -82,7 +74,7 @@ TEST(OnOffMonitor, RobustSupersetOfStandard) {
 TEST(OnOffMonitor, Word2SetLinearBddGrowth) {
   // Footnote 2: inserting a word with many don't-cares must stay linear.
   const std::size_t dim = 128;
-  OnOffMonitor m(ThresholdSpec::onoff(std::vector<float>(dim, 0.0F)));
+  IntervalMonitor m(ThresholdSpec::onoff(std::vector<float>(dim, 0.0F)));
   std::vector<float> lo(dim, -1.0F), hi(dim, 1.0F);
   // Constrain only the first 4 neurons; 124 don't-cares.
   for (int j = 0; j < 4; ++j) {
@@ -136,7 +128,7 @@ TEST(OnOffMonitor, MeanThresholds) {
   NeuronStats stats(2);
   stats.add(std::vector<float>{0.0F, 10.0F});
   stats.add(std::vector<float>{4.0F, 30.0F});
-  OnOffMonitor m(ThresholdSpec::from_means(stats));
+  IntervalMonitor m(ThresholdSpec::from_means(stats));
   m.observe(std::vector<float>{3.0F, 15.0F});  // pattern (1, 0)
   EXPECT_FALSE(m.warn(std::vector<float>{100.0F, 0.0F}));
   EXPECT_TRUE(m.warn(std::vector<float>{0.0F, 0.0F}));
@@ -156,6 +148,8 @@ TEST(OnOffMonitor, DescribeMentionsPatterns) {
   auto m = sign_monitor(2);
   m.observe(std::vector<float>{1.0F, 1.0F});
   EXPECT_NE(m.describe().find("patterns="), std::string::npos);
+  // Compiled artifacts store this text; it keeps the on-off name.
+  EXPECT_EQ(m.describe().rfind("OnOffMonitor(d=2, ", 0), 0U);
 }
 
 }  // namespace

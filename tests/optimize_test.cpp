@@ -22,7 +22,6 @@
 #include "compile/lower.hpp"
 #include "core/interval_monitor.hpp"
 #include "core/neuron_stats.hpp"
-#include "core/onoff_monitor.hpp"
 #include "core/sharded_monitor.hpp"
 #include "io/serialize.hpp"
 #include "util/rng.hpp"
@@ -78,17 +77,12 @@ Built build_monitor(Family family, std::size_t dim, std::size_t shards,
   const ThresholdSpec spec = random_spec(dim, bits, rng);
   Built b;
   if (shards == 0) {
-    if (family == Family::kOnOff) {
-      b.monitor = std::make_unique<OnOffMonitor>(spec);
-    } else {
-      b.monitor = std::make_unique<IntervalMonitor>(spec);
-    }
+    b.monitor = std::make_unique<IntervalMonitor>(spec);
   } else {
     const ShardPlan plan =
         ShardPlan::make(ShardStrategy::kContiguous, dim, shards);
     b.monitor = std::make_unique<ShardedMonitor>(
-        family == Family::kOnOff ? ShardedMonitor::onoff(plan, spec)
-                                 : ShardedMonitor::interval(plan, spec));
+        ShardedMonitor::interval(plan, spec));
   }
   const std::size_t observations = 30;
   FeatureBatch train(dim, observations);

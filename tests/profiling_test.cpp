@@ -8,8 +8,8 @@
 #include <vector>
 
 #include "bdd/bdd.hpp"
+#include "core/interval_monitor.hpp"
 #include "core/monitor_dot.hpp"
-#include "core/onoff_monitor.hpp"
 #include "core/sharded_monitor.hpp"
 #include "core/threshold_spec.hpp"
 #include "io/serialize.hpp"
@@ -112,7 +112,7 @@ TEST(Profiling, BatchSweepMatchesScalarCounts) {
 }
 
 TEST(Profiling, FlatMonitorAccumulatesAndPersists) {
-  OnOffMonitor m(ThresholdSpec::onoff(std::vector<float>(3, 0.0F)));
+  IntervalMonitor m(ThresholdSpec::onoff(std::vector<float>(3, 0.0F)));
   m.observe(std::vector<float>{1.0F, -1.0F, 1.0F});
   m.observe(std::vector<float>{-1.0F, 1.0F, -1.0F});
   EXPECT_FALSE(m.profiling());
@@ -135,7 +135,7 @@ TEST(Profiling, FlatMonitorAccumulatesAndPersists) {
   // reloaded monitor still answers identically.
   std::stringstream ss;
   save_monitor(ss, m);
-  OnOffMonitor loaded = load_onoff_monitor(ss);
+  IntervalMonitor loaded = load_interval_monitor(ss);
   EXPECT_EQ(loaded.profile_queries(), m.profile_queries());
   EXPECT_EQ(loaded.profile_hits(), m.profile_hits());
   const auto out2 = std::make_unique<bool[]>(8);
@@ -148,7 +148,7 @@ TEST(Profiling, ShardedFanOutSumsShardCounters) {
   const ThresholdSpec spec =
       ThresholdSpec::onoff(std::vector<float>(dim, 0.0F));
   const ShardPlan plan = ShardPlan::make(ShardStrategy::kContiguous, dim, 3);
-  ShardedMonitor sm = ShardedMonitor::onoff(plan, spec);
+  ShardedMonitor sm = ShardedMonitor::interval(plan, spec);
   sm.set_threads(2);  // per-shard managers: profiled fan-out is race-free
 
   Rng rng(5);
@@ -195,7 +195,7 @@ TEST(Profiling, DotGoldenTinyMonitor) {
   // x0 AND NOT x1; two probe queries give the root 2 hits (100%) and the
   // x1 node 1 hit (50%). The rendering is fully deterministic, so the
   // whole string is pinned.
-  OnOffMonitor m(ThresholdSpec::onoff(std::vector<float>(2, 0.0F)));
+  IntervalMonitor m(ThresholdSpec::onoff(std::vector<float>(2, 0.0F)));
   m.observe(std::vector<float>{1.0F, -1.0F});
 
   const std::string unprofiled =
@@ -235,7 +235,7 @@ TEST(Profiling, DotShardedClustersPerShard) {
   const ThresholdSpec spec =
       ThresholdSpec::onoff(std::vector<float>(dim, 0.0F));
   const ShardPlan plan = ShardPlan::make(ShardStrategy::kContiguous, dim, 2);
-  ShardedMonitor sm = ShardedMonitor::onoff(plan, spec);
+  ShardedMonitor sm = ShardedMonitor::interval(plan, spec);
   sm.observe(std::vector<float>{1.0F, -1.0F, 1.0F, -1.0F});
   const std::string dot = monitor_to_dot(sm);
   EXPECT_NE(dot.find("subgraph cluster_s0"), std::string::npos);

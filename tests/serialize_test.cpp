@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "core/monitor_builder.hpp"
+#include "core/neuron_stats.hpp"
 #include "io/wire.hpp"
 #include "nn/dense.hpp"
 #include "nn/init.hpp"
@@ -95,7 +96,7 @@ TEST(Serialize, MinMaxMonitorRoundTrip) {
 
 TEST(Serialize, OnOffMonitorRoundTrip) {
   Rng rng(3);
-  OnOffMonitor m(ThresholdSpec::onoff(std::vector<float>(5, 0.0F)));
+  IntervalMonitor m(ThresholdSpec::onoff(std::vector<float>(5, 0.0F)));
   for (int i = 0; i < 20; ++i) {
     std::vector<float> v(5);
     for (auto& x : v) x = rng.uniform_f(-1, 1);
@@ -106,7 +107,7 @@ TEST(Serialize, OnOffMonitorRoundTrip) {
                    std::vector<float>{-0.5F, -0.5F, 0.1F, 2, 2});
   std::stringstream ss;
   save_monitor(ss, m);
-  auto loaded = load_onoff_monitor(ss);
+  auto loaded = load_interval_monitor(ss);
   EXPECT_DOUBLE_EQ(loaded.pattern_count(), m.pattern_count());
   for (int trial = 0; trial < 200; ++trial) {
     std::vector<float> probe(5);
@@ -144,7 +145,7 @@ TEST(Serialize, AnyMonitorRoundTripsEachType) {
   MinMaxMonitor mm(2);
   mm.observe(std::vector<float>{1.0F, -1.0F});
   // On-off.
-  OnOffMonitor oo(ThresholdSpec::onoff(std::vector<float>(3, 0.0F)));
+  IntervalMonitor oo(ThresholdSpec::onoff(std::vector<float>(3, 0.0F)));
   oo.observe(std::vector<float>{1.0F, -1.0F, 1.0F});
   // Interval.
   IntervalMonitor iv(ThresholdSpec::paper_two_bit(
@@ -196,7 +197,7 @@ TEST(Serialize, MonitorTagMismatchThrows) {
   m.observe(std::vector<float>{0.0F, 0.0F});
   std::stringstream ss;
   save_monitor(ss, m);
-  EXPECT_THROW((void)load_onoff_monitor(ss), std::runtime_error);
+  EXPECT_THROW((void)load_interval_monitor(ss), std::runtime_error);
 }
 
 TEST(Serialize, DatasetRoundTrip) {
@@ -283,6 +284,58 @@ TEST(Serialize, OnOffMonitorRejectsHugeSpecHeader) {
   put_u64(ss, 1ULL << 24);   // dim
   put_u64(ss, 16);           // bits
   EXPECT_THROW((void)load_any_monitor(ss), std::runtime_error);
+}
+
+TEST(Serialize, OnOffTagRejectsMultiBitSpec) {
+  // An on-off tag promises a 1-bit spec. A 2-bit interval artifact whose
+  // tag byte is rewritten to the on-off tag (3 -> 2, and 5 -> 4 for the
+  // versioned body) is a corrupt stream, reported like every other
+  // decoder error.
+  for (const bool v2 : {false, true}) {
+    IntervalMonitor iv(ThresholdSpec::paper_two_bit(
+        std::vector<float>{-1.0F, -1.0F}, std::vector<float>{0.0F, 0.0F},
+        std::vector<float>{1.0F, 1.0F}));
+    if (v2) iv.apply_variable_order({3, 2, 1, 0});
+    iv.observe(std::vector<float>{0.5F, -0.5F});
+    std::stringstream ss;
+    save_monitor(ss, iv);
+    std::string bytes = ss.str();
+    ASSERT_EQ(std::uint8_t(bytes[4]), v2 ? 5 : 3);
+    bytes[4] = char(v2 ? 4 : 2);
+    std::istringstream any(bytes);
+    EXPECT_THROW((void)load_any_monitor(any), std::runtime_error);
+    std::istringstream typed(bytes);
+    EXPECT_THROW((void)load_interval_monitor(typed), std::runtime_error);
+  }
+}
+
+TEST(Serialize, OneBitIntervalSavesUnderOnOffTag) {
+  // A 1-bit interval monitor is the on-off monitor: it saves under the
+  // on-off tag and loads back as the same set.
+  NeuronStats stats(3, true);
+  Rng rng(12);
+  std::vector<std::vector<float>> data;
+  for (int i = 0; i < 30; ++i) {
+    std::vector<float> v(3);
+    for (auto& x : v) x = rng.uniform_f(-1, 1);
+    stats.add(v);
+    data.push_back(std::move(v));
+  }
+  IntervalMonitor m(ThresholdSpec::from_percentiles(stats, 1));
+  for (const auto& v : data) m.observe(v);
+  std::stringstream ss;
+  save_any_monitor(ss, m);
+  EXPECT_EQ(std::uint8_t(ss.str()[4]), 2);  // MonitorTag::kOnOff
+  const auto loaded = load_any_monitor(ss);
+  const auto* iv = dynamic_cast<const IntervalMonitor*>(loaded.get());
+  ASSERT_NE(iv, nullptr);
+  EXPECT_EQ(iv->bits(), 1U);
+  EXPECT_DOUBLE_EQ(iv->pattern_count(), m.pattern_count());
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<float> probe(3);
+    for (auto& x : probe) x = rng.uniform_f(-1.5, 1.5);
+    EXPECT_EQ(iv->warn(probe), m.warn(probe));
+  }
 }
 
 TEST(Serialize, MinMaxMonitorRejectsDimAboveMonitorCap) {

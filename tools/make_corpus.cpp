@@ -24,7 +24,6 @@
 #include "compile/lower.hpp"
 #include "core/interval_monitor.hpp"
 #include "core/minmax_monitor.hpp"
-#include "core/onoff_monitor.hpp"
 #include "core/shard_plan.hpp"
 #include "core/sharded_monitor.hpp"
 #include "core/threshold_spec.hpp"
@@ -119,7 +118,7 @@ void emit_monitor_corpus() {
                             ranm::save_any_monitor(out, minmax);
                           }));
 
-  ranm::OnOffMonitor onoff(
+  ranm::IntervalMonitor onoff(
       ranm::ThresholdSpec::onoff(std::vector<float>(5, 0.0F)));
   for (int i = 0; i < 12; ++i) {
     const auto v = random_vec(5, rng);
@@ -142,7 +141,7 @@ void emit_monitor_corpus() {
                           }));
 
   // V2 body with a non-identity variable order (kFlagOrder block).
-  ranm::OnOffMonitor ordered(
+  ranm::IntervalMonitor ordered(
       ranm::ThresholdSpec::onoff(std::vector<float>(4, 0.0F)));
   ordered.apply_variable_order({3, 2, 1, 0});
   for (int i = 0; i < 6; ++i) {
@@ -228,6 +227,14 @@ void emit_monitor_corpus() {
   put_u64(huge_spec, 1ULL << 24);   // dim
   put_u64(huge_spec, 16);           // bits
   write_seed("monitor", "hostile_spec_huge_dim", huge_spec);
+
+  // A 2-bit interval body under the on-off tag (3 -> 2): the on-off tags
+  // promise a 1-bit spec, so the loader must reject it as a stream error.
+  std::string onoff_two_bit = serialized([&](auto& out) {
+    ranm::save_any_monitor(out, interval);
+  });
+  onoff_two_bit[4] = 2;  // MonitorTag::kOnOff
+  write_seed("monitor", "hostile_onoff_tag_two_bit_spec", onoff_two_bit);
 
   std::string huge_shards;
   put_u32(huge_shards, 0x52534831U);  // RSH1
