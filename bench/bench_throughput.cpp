@@ -14,13 +14,17 @@
 // itself: `infer` runs the per-sample Layer::forward chain (scalar)
 // against Network::forward_batch (batched) on the digit convnet and the
 // serving MLP, and `train` one epoch of the per-sample
-// Network::forward/backward loop against train(). Results are printed as a
+// Network::forward/backward loop against train(), with train()'s stage
+// breakdown (each layer's forward and backward, the loss, the optimizer)
+// as extra ns-per-sample columns. Results are printed as a
 // table and written as machine-readable JSON (BENCH_throughput.json, or
 // the path given as argv[1]) so the perf trajectory is tracked per-PR.
 // Both arms of a row are timed interleaved, fastest round kept
 // (benchutil::time_interleaved). RANM_SMOKE=1 shrinks repetition counts
 // for CI smoke runs.
 #include <algorithm>
+#include <cctype>
+#include <chrono>
 #include <cstdio>
 #include <limits>
 #include <memory>
@@ -84,6 +88,8 @@ struct Measurement {
   std::size_t threads = 0;
   double scalar_ns = 0.0;   // per sample
   double batched_ns = 0.0;  // per sample
+  // Stage breakdown of the batched arm (ns per sample), extra columns.
+  std::vector<std::pair<std::string, double>> stages;
   [[nodiscard]] double speedup() const {
     return batched_ns > 0.0 ? scalar_ns / batched_ns : 0.0;
   }
@@ -378,9 +384,98 @@ Measurement bench_infer(const std::string& name, const Network& net,
   return m;
 }
 
+/// Lower-case layer kind of a layer name, "Conv2D(...)" -> "conv2d" (the
+/// naming of perfbench's per-layer metrics).
+std::string layer_kind(const std::string& name) {
+  std::string kind;
+  for (const char ch : name) {
+    if (ch == '(') break;
+    kind += static_cast<char>(std::tolower(static_cast<unsigned char>(ch)));
+  }
+  return kind;
+}
+
+/// Stage breakdown of train(): a copy of its minibatch loop with a clock
+/// around every layer's forward_batch and backward_batch, the loss (with
+/// packing the batches) and the optimizer step. Fastest of `epochs`
+/// epochs per stage, ns per sample, named layer<l>_<kind>_fwd_ns /
+/// _bwd_ns, loss_ns and optimizer_ns.
+std::vector<std::pair<std::string, double>> train_stages(
+    Network& net, Optimizer& optimizer, const Loss& loss,
+    const Dataset& data, std::size_t batch_size, std::size_t epochs,
+    Rng& rng) {
+  using Clock = std::chrono::steady_clock;
+  const std::size_t num_layers = net.num_layers();
+  const std::size_t kLoss = 2 * num_layers, kOptimizer = kLoss + 1;
+  std::vector<double> best(kOptimizer + 1,
+                           std::numeric_limits<double>::infinity());
+  std::vector<FeatureBatch> acts(num_layers + 1);
+  FeatureBatch grad, grad_next;
+  Tensor pred(net.output_shape());
+  const float scale = 1.0F / static_cast<float>(batch_size);
+  const std::size_t samples = data.inputs.size();
+  for (std::size_t e = 0; e < epochs; ++e) {
+    std::vector<double> ns(best.size(), 0.0);
+    Clock::time_point t = Clock::now();
+    const auto lap = [&](std::size_t stage) {
+      const Clock::time_point now = Clock::now();
+      ns[stage] += std::chrono::duration<double, std::nano>(now - t).count();
+      t = now;
+    };
+    const auto order = rng.permutation(samples);
+    net.zero_gradients();
+    for (std::size_t start = 0; start < samples; start += batch_size) {
+      const std::size_t n = std::min(batch_size, samples - start);
+      t = Clock::now();
+      acts[0].reset(net.layer(1).input_size(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        acts[0].set_sample(i, data.inputs[order[start + i]].span());
+      }
+      lap(kLoss);
+      for (std::size_t l = 0; l < num_layers; ++l) {
+        net.layer(l + 1).forward_batch(acts[l], acts[l + 1]);
+        lap(l);
+      }
+      grad.reset(acts[num_layers].dimension(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        acts[num_layers].copy_sample(i, pred.span());
+        LossResult lr = loss.evaluate(pred, data.targets[order[start + i]]);
+        lr.grad *= scale;
+        grad.set_sample(i, lr.grad.span());
+      }
+      lap(kLoss);
+      for (std::size_t l = num_layers; l-- > 0;) {
+        net.layer(l + 1).backward_batch(acts[l], grad,
+                                        l == 0 ? nullptr : &grad_next);
+        std::swap(grad, grad_next);
+        lap(num_layers + l);
+      }
+      optimizer.step();
+      lap(kOptimizer);
+    }
+    for (std::size_t k = 0; k < best.size(); ++k) {
+      best[k] = std::min(best[k], ns[k]);
+    }
+  }
+  std::vector<std::pair<std::string, double>> stages;
+  const auto per_sample = [&](std::size_t k) {
+    return best[k] / static_cast<double>(samples);
+  };
+  for (std::size_t l = 1; l <= num_layers; ++l) {
+    const std::string prefix =
+        "layer" + std::to_string(l) + "_" + layer_kind(net.layer(l).name());
+    stages.emplace_back(prefix + "_fwd_ns", per_sample(l - 1));
+    stages.emplace_back(prefix + "_bwd_ns", per_sample(num_layers + l - 1));
+  }
+  stages.emplace_back("loss_ns", per_sample(kLoss));
+  stages.emplace_back("optimizer_ns", per_sample(kOptimizer));
+  return stages;
+}
+
 /// One epoch of minibatch training (batch 16, Adam, cross-entropy) on
 /// the digit convnet: the per-sample Network::forward/backward loop that
-/// train() replaced, against train(). ns per sample.
+/// train() replaced, against train(). ns per sample, plus the stage
+/// breakdown of train() (train_stages).
 Measurement bench_train(std::size_t samples, std::size_t epochs) {
   Rng rng(31);
   const DigitConfig digit;
@@ -421,6 +516,8 @@ Measurement bench_train(std::size_t samples, std::size_t epochs) {
           g_sink += history.front().mean_loss > 0.0F;
         }
       });
+  m.stages = train_stages(net, optimizer, loss, data, cfg.batch_size,
+                          epochs, rng);
   return m;
 }
 
@@ -435,7 +532,11 @@ void write_json(const std::string& path, bool smoke,
         << ", \"shards\": " << m.shards << ", \"threads\": " << m.threads
         << ", \"scalar_ns_per_sample\": " << m.scalar_ns
         << ", \"batched_ns_per_sample\": " << m.batched_ns
-        << ", \"speedup\": " << m.speedup() << "}";
+        << ", \"speedup\": " << m.speedup();
+    for (const auto& [name, ns] : m.stages) {
+      row << ", \"" << name << "\": " << ns;
+    }
+    row << "}";
     rows.push_back(row.str());
   }
   benchutil::write_json_report(path, "bench_throughput", smoke, rows);
@@ -603,6 +704,15 @@ int run(int argc, char** argv) {
                    TextTable::num(m.speedup(), 2)});
   }
   table.print();
+  for (const Measurement& m : results) {
+    if (m.stages.empty()) continue;
+    std::printf("%s %s stages (ns/sample):", m.monitor.c_str(),
+                m.mode.c_str());
+    for (const auto& [name, ns] : m.stages) {
+      std::printf(" %s=%.0f", name.c_str(), ns);
+    }
+    std::printf("\n");
+  }
 
   write_json(json_path, smoke, results);
   std::printf("wrote %s (sink %zu)\n", json_path.c_str(), g_sink);

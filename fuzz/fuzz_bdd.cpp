@@ -4,11 +4,12 @@
 // backward-only child references, root index, and hash-consed
 // reconstruction through make_node_checked.
 //
-// Invariant: load_bdd throws cleanly or yields a node whose
+// Invariant: load_bdd throws std::runtime_error or yields a node whose
 // save -> load -> save is byte-identical in a fresh manager.
 #include <cstddef>
 #include <cstdint>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "bdd/bdd.hpp"
@@ -31,8 +32,10 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   ranm::bdd::NodeRef root = ranm::bdd::kFalse;
   try {
     root = ranm::bdd::load_bdd(in, mgr);
-  } catch (const std::exception&) {
-    return 0;  // clean rejection
+  } catch (const std::runtime_error&) {
+    return 0;  // the clean rejection bdd/bdd_io.hpp documents
+  } catch (const std::exception& e) {
+    ranm::fuzz::wrong_exception("fuzz_bdd", e);
   }
   std::ostringstream first;
   (void)ranm::bdd::save_bdd(first, mgr, root);

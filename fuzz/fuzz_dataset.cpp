@@ -2,12 +2,13 @@
 // unbounded reserve() was one of the seed-era loader bugs) and the
 // per-sample input/target tensor pairs.
 //
-// Invariant: load_dataset throws cleanly or the dataset re-serialises
-// byte-identically through save -> load -> save.
+// Invariant: load_dataset throws std::runtime_error or the dataset
+// re-serialises byte-identically through save -> load -> save.
 #include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "data/dataset.hpp"
@@ -22,8 +23,10 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   std::optional<ranm::Dataset> ds;
   try {
     ds.emplace(ranm::load_dataset(in));
-  } catch (const std::exception&) {
-    return 0;  // clean rejection
+  } catch (const std::runtime_error&) {
+    return 0;  // the clean rejection io/serialize.hpp documents
+  } catch (const std::exception& e) {
+    ranm::fuzz::wrong_exception("fuzz_dataset", e);
   }
   std::ostringstream first;
   ranm::save_dataset(first, *ds);

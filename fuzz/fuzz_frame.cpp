@@ -5,14 +5,15 @@
 // error messages, and the monitor-lifecycle codecs (observe/swap/
 // rollback replies and the rollback target).
 //
-// Invariant per frame: read_frame throws cleanly or yields a
-// (type, payload) pair; each payload codec then throws cleanly or
-// decodes to a value that re-encodes to the exact payload bytes
+// Invariant per frame: read_frame throws std::runtime_error or yields a
+// (type, payload) pair; each payload codec then throws std::runtime_error
+// or decodes to a value that re-encodes to the exact payload bytes
 // (decode∘encode is the identity on accepted inputs — every codec
 // rejects trailing garbage, so accepted bytes are canonical).
 #include <cstddef>
 #include <cstdint>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -106,10 +107,12 @@ void roundtrip_payload(ranm::serve::FrameType type,
       case FrameType::kSwap:
         break;  // request/ack frames carry no decoded payload
     }
-  } catch (const std::exception&) {
-    // Clean rejection of a payload whose bytes don't parse. The
-    // require() aborts above go through ranm::fuzz::fail -> abort, so
-    // they cannot be swallowed here.
+  } catch (const std::runtime_error&) {
+    // Clean rejection of a payload whose bytes don't parse, the type
+    // serve/protocol.hpp documents. The require() aborts above go through
+    // ranm::fuzz::fail -> abort, so they cannot be swallowed here.
+  } catch (const std::exception& e) {
+    ranm::fuzz::wrong_exception("fuzz_frame", e);
   }
 }
 
@@ -127,8 +130,10 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
       roundtrip_payload(frame.type, frame.payload);
       if (in.peek() == std::char_traits<char>::eof()) break;
     }
-  } catch (const std::exception&) {
+  } catch (const std::runtime_error&) {
     // clean rejection (bad magic/type, oversized or truncated payload)
+  } catch (const std::exception& e) {
+    ranm::fuzz::wrong_exception("fuzz_frame", e);
   }
 
   // Codec level: drive every decoder over the raw bytes too, so payload

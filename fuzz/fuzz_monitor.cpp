@@ -5,15 +5,16 @@
 // artifacts (per-shard neuron lists + nested flat payloads), and
 // compiled RCM1 artifacts (box/cube/BDD programs).
 //
-// Invariant: load_any_monitor either throws cleanly, or yields a monitor
-// whose save -> load -> save is byte-identical (the serialisers are
-// deterministic, so double serialisation is a structural-equality
-// probe). Anything else — crash, hang, overcommit, unstable bytes — is a
-// finding.
+// Invariant: load_any_monitor either throws std::runtime_error, or
+// yields a monitor whose save -> load -> save is byte-identical (the
+// serialisers are deterministic, so double serialisation is a
+// structural-equality probe). Anything else — another exception type,
+// crash, hang, overcommit, unstable bytes — is a finding.
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "core/monitor.hpp"
@@ -28,8 +29,10 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   std::unique_ptr<ranm::Monitor> monitor;
   try {
     monitor = ranm::load_any_monitor(in);
-  } catch (const std::exception&) {
-    return 0;  // clean rejection is the expected path for hostile bytes
+  } catch (const std::runtime_error&) {
+    return 0;  // the clean rejection io/serialize.hpp documents
+  } catch (const std::exception& e) {
+    ranm::fuzz::wrong_exception("fuzz_monitor", e);
   }
   ranm::fuzz::require(monitor != nullptr, "fuzz_monitor",
                       "loader returned null without throwing");

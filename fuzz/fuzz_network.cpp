@@ -2,12 +2,13 @@
 // words (the Dense/Conv2D/Pooling fields that historically drove
 // unbounded allocations), shapes, and parameter tensors.
 //
-// Invariant: load_network throws cleanly or the network re-serialises
-// byte-identically through save -> load -> save.
+// Invariant: load_network throws std::runtime_error or the network
+// re-serialises byte-identically through save -> load -> save.
 #include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "io/serialize.hpp"
@@ -22,8 +23,10 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   std::optional<ranm::Network> net;
   try {
     net.emplace(ranm::load_network(in));
-  } catch (const std::exception&) {
-    return 0;  // clean rejection
+  } catch (const std::runtime_error&) {
+    return 0;  // the clean rejection io/serialize.hpp documents
+  } catch (const std::exception& e) {
+    ranm::fuzz::wrong_exception("fuzz_network", e);
   }
   // A network that loaded must re-save and round-trip stably; a throw
   // past this point means the loader accepted something the saver (or a

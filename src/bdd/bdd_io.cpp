@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace ranm::bdd {
@@ -96,7 +97,12 @@ LoadedBdd load_bdd_nodes(std::istream& in, BddManager& mgr) {
     if (lo >= i || hi >= i) {
       throw std::runtime_error("load_bdd: forward reference");
     }
-    local[i] = mgr.make_node_checked(var, local[lo], local[hi]);
+    try {
+      local[i] = mgr.make_node_checked(var, local[lo], local[hi]);
+    } catch (const std::invalid_argument& e) {
+      // Variable out of range or order violated: malformed input.
+      throw std::runtime_error(std::string("load_bdd: ") + e.what());
+    }
   }
   const auto root = read_pod<std::uint32_t>(in);
   if (root >= count) throw std::runtime_error("load_bdd: bad root index");

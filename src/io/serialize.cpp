@@ -146,7 +146,10 @@ void save_network(std::ostream& out, Network& net) {
   }
 }
 
-Network load_network(std::istream& in) {
+// A function-try-block: a layer configuration or shape chain that the
+// layer constructors or Network::add reject (std::invalid_argument) is
+// malformed input, reported as std::runtime_error like every other check.
+Network load_network(std::istream& in) try {
   if (read_pod<std::uint32_t>(in) != kNetMagic) {
     throw std::runtime_error("load_network: bad magic");
   }
@@ -216,14 +219,10 @@ Network load_network(std::istream& in) {
         std::vector<float> mean(count), inv_std(count);
         for (auto& v : mean) v = read_pod<float>(in);
         for (auto& v : inv_std) v = read_pod<float>(in);
-        try {
-          copy_params(net.emplace<Normalization>(std::move(shape),
-                                                 std::move(mean),
-                                                 std::move(inv_std)),
-                      in);
-        } catch (const std::invalid_argument& e) {
-          throw std::runtime_error(std::string("load_network: ") + e.what());
-        }
+        copy_params(net.emplace<Normalization>(std::move(shape),
+                                               std::move(mean),
+                                               std::move(inv_std)),
+                    in);
         break;
       }
       case LayerTag::kMaxPool2D:
@@ -247,6 +246,8 @@ Network load_network(std::istream& in) {
     }
   }
   return net;
+} catch (const std::invalid_argument& e) {
+  throw std::runtime_error(std::string("load_network: ") + e.what());
 }
 
 void save_network_file(const std::string& path, Network& net) {

@@ -1,4 +1,4 @@
-// Branch-free float select for the batched nn kernels.
+// Branch-free float selects for the batched nn kernels.
 #pragma once
 
 #include <bit>
@@ -15,6 +15,21 @@ namespace ranm {
   const std::uint32_t mask = take_a ? ~std::uint32_t{0} : 0;
   return std::bit_cast<float>((std::bit_cast<std::uint32_t>(a) & mask) |
                               (std::bit_cast<std::uint32_t>(b) & ~mask));
+}
+
+/// `term` where `mask` is all ones, -0.0F where it is zero. Adding -0.0F
+/// leaves every float unchanged (x + -0 == x bit for bit, -0 + -0 == -0,
+/// and a NaN keeps its payload), so `acc += masked_term(m, t)` is exactly
+/// `if (m) acc += t` with the select off the accumulator's critical path.
+[[nodiscard]] inline float masked_term(std::uint32_t mask,
+                                       float term) noexcept {
+  return std::bit_cast<float>((std::bit_cast<std::uint32_t>(term) & mask) |
+                              (~mask & 0x80000000U));
+}
+
+/// The mask masked_term expects: all ones when `keep`, else zero.
+[[nodiscard]] inline std::uint32_t lane_mask(bool keep) noexcept {
+  return keep ? ~std::uint32_t{0} : 0;
 }
 
 }  // namespace ranm

@@ -35,11 +35,17 @@ SGD::SGD(std::vector<Tensor*> params, std::vector<Tensor*> grads,
 }
 
 void SGD::update(std::size_t i, Tensor& param, const Tensor& grad) {
-  Tensor& vel = velocity_[i];
+  // Locals, so that the stores through p cannot alias the configuration
+  // and the loop vectorizes; each element keeps its sequence of operations.
+  const float lr = cfg_.learning_rate, momentum = cfg_.momentum,
+              decay = cfg_.weight_decay;
+  float* p = param.data();
+  float* vel = velocity_[i].data();
+  const float* gr = grad.data();
   for (std::size_t j = 0; j < param.numel(); ++j) {
-    const float g = grad[j] + cfg_.weight_decay * param[j];
-    vel[j] = cfg_.momentum * vel[j] - cfg_.learning_rate * g;
-    param[j] += vel[j];
+    const float g = gr[j] + decay * p[j];
+    vel[j] = momentum * vel[j] - lr * g;
+    p[j] += vel[j];
   }
 }
 
@@ -61,15 +67,20 @@ void Adam::update(std::size_t i, Tensor& param, const Tensor& grad) {
   const auto t = static_cast<float>(t_);
   const float bc1 = 1.0F - std::pow(cfg_.beta1, t);
   const float bc2 = 1.0F - std::pow(cfg_.beta2, t);
-  Tensor& m = m_[i];
-  Tensor& v = v_[i];
+  const float lr = cfg_.learning_rate, beta1 = cfg_.beta1,
+              beta2 = cfg_.beta2, eps = cfg_.epsilon,
+              decay = cfg_.weight_decay;
+  float* p = param.data();
+  float* m = m_[i].data();
+  float* v = v_[i].data();
+  const float* gr = grad.data();
   for (std::size_t j = 0; j < param.numel(); ++j) {
-    const float g = grad[j] + cfg_.weight_decay * param[j];
-    m[j] = cfg_.beta1 * m[j] + (1.0F - cfg_.beta1) * g;
-    v[j] = cfg_.beta2 * v[j] + (1.0F - cfg_.beta2) * g * g;
+    const float g = gr[j] + decay * p[j];
+    m[j] = beta1 * m[j] + (1.0F - beta1) * g;
+    v[j] = beta2 * v[j] + (1.0F - beta2) * g * g;
     const float mhat = m[j] / bc1;
     const float vhat = v[j] / bc2;
-    param[j] -= cfg_.learning_rate * mhat / (std::sqrt(vhat) + cfg_.epsilon);
+    p[j] -= lr * mhat / (std::sqrt(vhat) + eps);
   }
 }
 

@@ -1,9 +1,13 @@
 #include "nn/pooling.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 #include <vector>
+
+#include "nn/simd.hpp"
 
 namespace ranm {
 
@@ -129,6 +133,39 @@ void MaxPool2D::forward_batch(const FeatureBatch& in,
   }
 }
 
+namespace {
+
+/// Per window of a max pool, the first strict maximum of samples
+/// [i0, i0 + 4) as window_max finds it (the first element when nothing
+/// beats -inf), then the gradient added there and -0.0F (no change) at
+/// the window's other elements, so overlapping windows add in backward()'s
+/// (ch, oy, ox) order. `offsets[k]` is the offset of window element k's
+/// batch row from the first element's.
+void max_pool_backward_lanes(
+    const float* x, const float* go, float* gi,
+    const std::vector<std::size_t>& offsets) noexcept {
+  constexpr float kNegInf = -std::numeric_limits<float>::infinity();
+  simd::f32x4 best = {kNegInf, kNegInf, kNegInf, kNegInf};
+  simd::u32x4 arg = {};
+  for (std::uint32_t k = 0; k < offsets.size(); ++k) {
+    const simd::f32x4 v = simd::load4(x + offsets[k]);
+    const auto better = std::bit_cast<simd::u32x4>(v > best);
+    best = std::bit_cast<simd::f32x4>(
+        (std::bit_cast<simd::u32x4>(v) & better) |
+        (std::bit_cast<simd::u32x4>(best) & ~better));
+    arg = (better & k) | (arg & ~better);
+  }
+  const auto g = std::bit_cast<simd::u32x4>(simd::load4(go));
+  for (std::uint32_t k = 0; k < offsets.size(); ++k) {
+    float* dst = gi + offsets[k];
+    const auto keep = std::bit_cast<simd::u32x4>(arg == k);
+    const simd::u32x4 term = (g & keep) | (~keep & 0x80000000U);
+    simd::store4(dst, simd::load4(dst) + std::bit_cast<simd::f32x4>(term));
+  }
+}
+
+}  // namespace
+
 void MaxPool2D::backward_batch(const FeatureBatch& in,
                                const FeatureBatch& grad_out,
                                FeatureBatch* grad_in) {
@@ -137,14 +174,28 @@ void MaxPool2D::backward_batch(const FeatureBatch& in,
   const float* x = in.storage().data();
   const float* g = grad_out.storage().data();
   float* gi = grad_in->storage().data();
+  std::vector<std::size_t> offsets;
+  for (std::size_t ky = 0; ky < cfg_.window; ++ky) {
+    for (std::size_t kx = 0; kx < cfg_.window; ++kx) {
+      offsets.push_back((ky * cfg_.in_width + kx) * n);
+    }
+  }
   for (std::size_t ch = 0; ch < cfg_.channels; ++ch) {
     for (std::size_t oy = 0; oy < oh_; ++oy) {
       for (std::size_t ox = 0; ox < ow_; ++ox) {
-        const float* go = g + ((ch * oh_ + oy) * ow_ + ox) * n;
-        for (std::size_t i = 0; i < n; ++i) {
+        const std::size_t first =
+            (ch * cfg_.in_height + oy * cfg_.stride) * cfg_.in_width +
+            ox * cfg_.stride;
+        const std::size_t out = (ch * oh_ + oy) * ow_ + ox;
+        std::size_t i = 0;
+        for (; i + 4 <= n; i += 4) {
+          max_pool_backward_lanes(x + first * n + i, g + out * n + i,
+                                  gi + first * n + i, offsets);
+        }
+        for (; i < n; ++i) {
           std::size_t idx = 0;
           (void)window_max(x + i, n, ch, oy, ox, idx);
-          gi[idx * n + i] += go[i];
+          gi[idx * n + i] += g[out * n + i];
         }
       }
     }

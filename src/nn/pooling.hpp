@@ -50,8 +50,9 @@ class MaxPool2D final : public Pooling {
   /// Scans the window of output element (ch, oy, ox) for its first
   /// strict maximum; flat CHW element e is read at in[e * step]. Returns
   /// the maximum (-inf when nothing beats -inf) and stores its flat index
-  /// in `index` (the window's first element then). Every backward path
-  /// uses this scan, so gradients go exactly where forward read.
+  /// in `index` (the window's first element then). forward() and
+  /// backward() use this scan; the batched kernels repeat it in select
+  /// form, so gradients go exactly where forward read.
   [[nodiscard]] float window_max(const float* in, std::size_t step,
                                  std::size_t ch, std::size_t oy,
                                  std::size_t ox,

@@ -7,6 +7,7 @@
 // payload are not compared, see expect_same_bytes).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <functional>
@@ -14,6 +15,7 @@
 #include <memory>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "nn/activations.hpp"
@@ -187,21 +189,17 @@ void expect_same_gradients(Layer& expected, Layer& actual,
 class LayerBatch : public ::testing::TestWithParam<
                        std::tuple<std::size_t, std::size_t>> {};
 
-TEST_P(LayerBatch, MatchesPerSampleOracle) {
-  const LayerCase& c = layer_cases()[std::get<0>(GetParam())];
-  const std::size_t n = std::get<1>(GetParam());
+/// Runs forward_batch and two rounds of backward_batch (with and without
+/// an input gradient) on `xs`/`gs` and compares them with the per-sample
+/// oracle.
+void expect_matches_oracle(const LayerCase& c, const std::vector<Tensor>& xs,
+                           const std::vector<Tensor>& gs) {
+  const std::size_t n = xs.size();
   auto oracle = c.make();
   auto batched = c.make();
   auto no_input_grad = c.make();
   const std::size_t in_dim = oracle->input_size();
   const std::size_t out_dim = oracle->output_size();
-
-  Rng rng(1000 + n);
-  std::vector<Tensor> xs, gs;
-  for (std::size_t i = 0; i < n; ++i) {
-    xs.push_back(draw_tensor(oracle->input_shape(), rng));
-    gs.push_back(draw_tensor(oracle->output_shape(), rng));
-  }
   const FeatureBatch in = pack(xs, in_dim);
   const FeatureBatch grad_out = pack(gs, out_dim);
 
@@ -234,6 +232,98 @@ TEST_P(LayerBatch, MatchesPerSampleOracle) {
     expect_same_gradients(*oracle, *batched, what);
     expect_same_gradients(*oracle, *no_input_grad, what + " (no input grad)");
   }
+}
+
+TEST_P(LayerBatch, MatchesPerSampleOracle) {
+  const LayerCase& c = layer_cases()[std::get<0>(GetParam())];
+  const std::size_t n = std::get<1>(GetParam());
+  const auto probe = c.make();
+  Rng rng(1000 + n);
+  std::vector<Tensor> xs, gs;
+  for (std::size_t i = 0; i < n; ++i) {
+    xs.push_back(draw_tensor(probe->input_shape(), rng));
+    gs.push_back(draw_tensor(probe->output_shape(), rng));
+  }
+  expect_matches_oracle(c, xs, gs);
+}
+
+/// Output gradients as the batched kernels meet them behind a max pool or
+/// a ReLU: at least three in four are ±0. Sample 0 is all zero; feature
+/// row 0 (channel 0 of a CHW gradient) is zero in every sample; odd
+/// samples of a CHW gradient have one nonzero per 2x2 block, the pattern
+/// a 2x2 max pool routes; the rest keep one entry in five. Nonzero
+/// entries are drawn (edge cases included) and one in twenty is NaN.
+std::vector<Tensor> sparse_gradients(const Shape& shape, std::size_t n,
+                                     Rng& rng) {
+  const auto nonzero = [&rng] {
+    return rng.uniform_f(0.0F, 1.0F) < 0.05F
+               ? std::numeric_limits<float>::quiet_NaN()
+               : draw(rng);
+  };
+  const bool chw = shape.size() == 3 && shape[1] >= 2 && shape[2] >= 2;
+  const std::size_t row0 = chw ? shape[1] * shape[2] : 1;
+  std::vector<Tensor> gs;
+  for (std::size_t i = 0; i < n; ++i) {
+    Tensor g(shape);
+    for (std::size_t j = 0; j < g.numel(); ++j) {
+      g[j] = rng.next_u64() % 2 == 0 ? 0.0F : -0.0F;
+    }
+    if (i > 0 && chw && i % 2 == 1) {
+      const std::size_t h = shape[1], w = shape[2];
+      for (std::size_t ch = 0; ch < shape[0]; ++ch) {
+        for (std::size_t y = 0; y + 1 < h; y += 2) {
+          for (std::size_t x = 0; x + 1 < w; x += 2) {
+            const std::size_t pick = rng.next_u64() % 4;
+            g[(ch * h + y + pick / 2) * w + x + pick % 2] = nonzero();
+          }
+        }
+      }
+    } else if (i > 0) {
+      for (std::size_t j = 0; j < g.numel(); ++j) {
+        if (rng.uniform_f(0.0F, 1.0F) < 0.2F) g[j] = nonzero();
+      }
+    }
+    for (std::size_t j = 0; j < std::min(row0, g.numel()); ++j) g[j] = 0.0F;
+    gs.push_back(std::move(g));
+  }
+  return gs;
+}
+
+// Kernels that compact nonzero gradients or skip zeros must still match
+// the oracle when most of them are zero, and on inputs whose first 3x3
+// window is all NaN (sample 1) or all -inf (sample 2), where a max pool
+// routes the gradient to the window's first element.
+TEST_P(LayerBatch, SparseGradientsMatchOracle) {
+  const LayerCase& c = layer_cases()[std::get<0>(GetParam())];
+  const std::size_t n = std::get<1>(GetParam());
+  const auto probe = c.make();
+  const Shape in_shape = probe->input_shape();
+  Rng rng(2000 + n);
+  std::vector<Tensor> xs;
+  for (std::size_t i = 0; i < n; ++i) {
+    Tensor x = draw_tensor(in_shape, rng);
+    if ((i == 1 || i == 2) && in_shape.size() == 3) {
+      const float fill = i == 1 ? std::numeric_limits<float>::quiet_NaN()
+                                : -std::numeric_limits<float>::infinity();
+      for (std::size_t y = 0; y < std::min<std::size_t>(3, in_shape[1]);
+           ++y) {
+        for (std::size_t x0 = 0; x0 < std::min<std::size_t>(3, in_shape[2]);
+             ++x0) {
+          x[y * in_shape[2] + x0] = fill;
+        }
+      }
+    }
+    xs.push_back(std::move(x));
+  }
+  const std::vector<Tensor> gs =
+      sparse_gradients(probe->output_shape(), n, rng);
+  std::size_t zeros = 0, total = 0;
+  for (const Tensor& g : gs) {
+    for (const float v : g.span()) zeros += v == 0.0F;
+    total += g.numel();
+  }
+  EXPECT_GE(4 * zeros, 3 * total) << "generator must keep 75% zeros";
+  expect_matches_oracle(c, xs, gs);
 }
 
 TEST_P(LayerBatch, RejectsMismatchedBatches) {

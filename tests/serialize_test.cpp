@@ -2,11 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
 #include <sstream>
+#include <string>
+#include <utility>
 
+#include "bdd/bdd.hpp"
+#include "bdd/bdd_io.hpp"
 #include "core/monitor_builder.hpp"
 #include "core/neuron_stats.hpp"
 #include "io/wire.hpp"
+#include "nn/activations.hpp"
 #include "nn/dense.hpp"
 #include "nn/init.hpp"
 #include "nn/normalization.hpp"
@@ -61,6 +68,45 @@ TEST(Serialize, NetworkRejectsGarbage) {
   std::stringstream ss;
   ss << "not a network";
   EXPECT_THROW((void)load_network(ss), std::runtime_error);
+}
+
+// Hostile streams must fail with the std::runtime_error serialize.hpp
+// documents, whichever check rejects them (both found by the fuzz
+// corpus replay, which now accepts no other exception type).
+TEST(Serialize, NetworkShapeMismatchThrowsRuntimeError) {
+  // A Dense(4->3) followed by a ReLU over 5 inputs: each layer is valid,
+  // the chain is not. Spliced from two one-layer artifacts (magic, u64
+  // layer count, layer records).
+  const auto one_layer = [](auto&& layer) {
+    Network net;
+    net.add(std::forward<decltype(layer)>(layer));
+    std::stringstream ss;
+    save_network(ss, net);
+    return ss.str();
+  };
+  const std::string dense = one_layer(std::make_unique<Dense>(4, 3));
+  const std::string relu = one_layer(std::make_unique<ReLU>(Shape{5}));
+  constexpr std::size_t kHeader = 4 + 8;
+  std::string spliced = dense;
+  const std::uint64_t two = 2;
+  spliced.replace(4, 8, reinterpret_cast<const char*>(&two), 8);
+  spliced += relu.substr(kHeader);
+  std::stringstream ss(spliced);
+  EXPECT_THROW((void)load_network(ss), std::runtime_error);
+}
+
+TEST(Serialize, BddNodeVariableOutOfRangeThrowsRuntimeError) {
+  // A one-node BDD over variable 3 whose header claims 2 variables: the
+  // header check passes for a 2-variable manager, the node does not.
+  bdd::BddManager saved_with(4);
+  std::stringstream out;
+  (void)bdd::save_bdd(out, saved_with, saved_with.var(3));
+  std::string bytes = out.str();
+  const std::uint32_t two = 2;
+  bytes.replace(4, 4, reinterpret_cast<const char*>(&two), 4);
+  bdd::BddManager mgr(2);
+  std::stringstream in(bytes);
+  EXPECT_THROW((void)bdd::load_bdd(in, mgr), std::runtime_error);
 }
 
 TEST(Serialize, ThresholdSpecRoundTrip) {

@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <type_traits>
+#include <vector>
 
 #include "nn/init.hpp"
 #include "nn/loss.hpp"
@@ -92,6 +97,146 @@ TEST(Optimizer, AdamConvergesOnQuadratic) {
   EXPECT_NEAR(p[0], 1.0F, 1e-2F);
   EXPECT_NEAR(p[1], 2.0F, 1e-2F);
 }
+
+// The scalar update loops SGD and Adam ran before their loops were
+// vectorized, kept as the oracle: every element must take exactly this
+// sequence of float operations. This file builds with -ffp-contract=off,
+// as the library does, so no product is fused into an FMA here either.
+void sgd_reference(std::vector<float>& param, std::vector<float>& vel,
+                   const std::vector<float>& grad, const SGD::Config& cfg) {
+  for (std::size_t j = 0; j < param.size(); ++j) {
+    const float g = grad[j] + cfg.weight_decay * param[j];
+    vel[j] = cfg.momentum * vel[j] - cfg.learning_rate * g;
+    param[j] += vel[j];
+  }
+}
+
+void adam_reference(std::vector<float>& param, std::vector<float>& m,
+                    std::vector<float>& v, const std::vector<float>& grad,
+                    const Adam::Config& cfg, std::size_t step) {
+  const auto t = static_cast<float>(step);
+  const float bc1 = 1.0F - std::pow(cfg.beta1, t);
+  const float bc2 = 1.0F - std::pow(cfg.beta2, t);
+  for (std::size_t j = 0; j < param.size(); ++j) {
+    const float g = grad[j] + cfg.weight_decay * param[j];
+    m[j] = cfg.beta1 * m[j] + (1.0F - cfg.beta1) * g;
+    v[j] = cfg.beta2 * v[j] + (1.0F - cfg.beta2) * g * g;
+    const float mhat = m[j] / bc1;
+    const float vhat = v[j] / bc2;
+    param[j] -= cfg.learning_rate * mhat / (std::sqrt(vhat) + cfg.epsilon);
+  }
+}
+
+/// A gradient that is mostly ordinary but also ±0, subnormal or huge;
+/// element 3 of `nan_step` is NaN.
+std::vector<float> optimizer_gradient(std::size_t size, Rng& rng,
+                                      std::size_t step,
+                                      std::size_t nan_step) {
+  const float specials[] = {0.0F,    -0.0F,   1.0e-45F, -3.0e-39F,
+                            3.0e38F, -1.0e30F, 6.5e4F};
+  std::vector<float> g(size);
+  for (float& x : g) {
+    x = rng.uniform_f(0.0F, 1.0F) < 0.3F
+            ? specials[rng.next_u64() % std::size(specials)]
+            : rng.uniform_f(-2.0F, 2.0F);
+  }
+  if (step == nan_step) g[3] = std::numeric_limits<float>::quiet_NaN();
+  return g;
+}
+
+/// Byte equality, except that a NaN only has to meet a NaN: which of two
+/// NaN operands an addition returns is left open by IEEE 754.
+void expect_same_floats(const std::vector<float>& expected,
+                        std::span<const float> actual,
+                        const std::string& what) {
+  ASSERT_EQ(expected.size(), actual.size()) << what;
+  for (std::size_t j = 0; j < expected.size(); ++j) {
+    if (std::isnan(expected[j])) {
+      EXPECT_TRUE(std::isnan(actual[j])) << what << " element " << j;
+    } else {
+      EXPECT_EQ(std::memcmp(&expected[j], &actual[j], sizeof(float)), 0)
+          << what << " element " << j << ": " << expected[j] << " vs "
+          << actual[j];
+    }
+  }
+}
+
+// Sizes 37 and 5 leave remainders after any vector width of 4 or 8.
+constexpr std::size_t kOptimizerSizes[] = {37, 5};
+constexpr std::size_t kOptimizerSteps = 60;
+
+class OptimizerOracle : public ::testing::TestWithParam<float> {};
+
+TEST_P(OptimizerOracle, SgdMatchesScalarLoop) {
+  SGD::Config cfg;
+  cfg.learning_rate = 0.05F;
+  cfg.momentum = 0.9F;
+  cfg.weight_decay = GetParam();
+  Rng rng(31);
+  std::vector<Tensor> params, grads;
+  std::vector<std::vector<float>> ref_param, ref_vel;
+  for (const std::size_t size : kOptimizerSizes) {
+    params.push_back(Tensor::random_uniform({size}, rng));
+    grads.emplace_back(Shape{size});
+    ref_param.emplace_back(params.back().span().begin(),
+                           params.back().span().end());
+    ref_vel.emplace_back(size, 0.0F);
+  }
+  SGD opt({&params[0], &params[1]}, {&grads[0], &grads[1]}, cfg);
+  for (std::size_t step = 1; step <= kOptimizerSteps; ++step) {
+    for (std::size_t k = 0; k < params.size(); ++k) {
+      const auto g = optimizer_gradient(params[k].numel(), rng, step, 30);
+      std::copy(g.begin(), g.end(), grads[k].span().begin());
+      sgd_reference(ref_param[k], ref_vel[k], g, cfg);
+    }
+    opt.step();
+    for (std::size_t k = 0; k < params.size(); ++k) {
+      expect_same_floats(ref_param[k], params[k].span(),
+                         "step " + std::to_string(step) + " tensor " +
+                             std::to_string(k));
+      EXPECT_EQ(grads[k].norm2(), 0.0F);
+    }
+  }
+}
+
+TEST_P(OptimizerOracle, AdamMatchesScalarLoop) {
+  Adam::Config cfg;
+  cfg.learning_rate = 1e-2F;
+  cfg.weight_decay = GetParam();
+  Rng rng(32);
+  std::vector<Tensor> params, grads;
+  std::vector<std::vector<float>> ref_param, ref_m, ref_v;
+  for (const std::size_t size : kOptimizerSizes) {
+    params.push_back(Tensor::random_uniform({size}, rng));
+    grads.emplace_back(Shape{size});
+    ref_param.emplace_back(params.back().span().begin(),
+                           params.back().span().end());
+    ref_m.emplace_back(size, 0.0F);
+    ref_v.emplace_back(size, 0.0F);
+  }
+  Adam opt({&params[0], &params[1]}, {&grads[0], &grads[1]}, cfg);
+  for (std::size_t step = 1; step <= kOptimizerSteps; ++step) {
+    for (std::size_t k = 0; k < params.size(); ++k) {
+      const auto g = optimizer_gradient(params[k].numel(), rng, step, 40);
+      std::copy(g.begin(), g.end(), grads[k].span().begin());
+      adam_reference(ref_param[k], ref_m[k], ref_v[k], g, cfg, step);
+    }
+    opt.step();
+    for (std::size_t k = 0; k < params.size(); ++k) {
+      expect_same_floats(ref_param[k], params[k].span(),
+                         "step " + std::to_string(step) + " tensor " +
+                             std::to_string(k));
+      EXPECT_EQ(grads[k].norm2(), 0.0F);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(WeightDecay, OptimizerOracle,
+                         ::testing::Values(0.0F, 1e-2F),
+                         [](const ::testing::TestParamInfo<float>& param) {
+                           return param.param == 0.0F ? "no_decay"
+                                                      : "decay";
+                         });
 
 TEST(Trainer, LossDecreasesOnRegression) {
   Rng rng(1);
